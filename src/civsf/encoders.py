@@ -71,19 +71,6 @@ def unpatchify(patches: np.ndarray, side: int, patch: int) -> np.ndarray:
     return x.reshape(*lead, c, side, side)
 
 
-def fold_patches(patches: Tensor, side: int, patch: int) -> Tensor:
-    """Differentiable unpatchify: (..., G, 6*p*p) -> (..., 6, H, H)."""
-    *lead, g, pd = patches.shape
-    n = side // patch
-    c = pd // (patch * patch)
-    lead_n = 1
-    for d in lead:
-        lead_n *= d
-    x = patches.reshape(lead_n, n, n, c, patch, patch)
-    x = x.transpose((0, 3, 1, 4, 2, 5))
-    return x.reshape(*lead, c, side, side)
-
-
 class VitEncoder(nn.Module):
     """Shared-across-timestamps ViT over unmasked patch vectors."""
 

@@ -9,36 +9,10 @@ vectors, so they all decode to one constant patch by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from civsf.errors import DomainError, ShapeError
-from civsf.encoders import fold_patches
-from civsf.masking import MaskPlan
+from civsf.errors import ShapeError
 from civsf.numerics import Tensor, nn, put
-
-
-@dataclass(frozen=True)
-class ForecastSpec:
-    src_index: int
-    target_doy: int
-    delta: int
-
-
-def next_step_targets(doys: np.ndarray, k_doy: int) -> list[ForecastSpec]:
-    """Phase-2 target list: embedding i forecasts image i+1; the last context
-    embedding forecasts the sampled K'th timestamp k_doy."""
-    doys = np.asarray(doys)
-    c = len(doys)
-    if c < 2:
-        raise DomainError(f"next-step targets need C >= 2 context images, got {c}")
-    if k_doy <= int(doys[-1]):
-        raise DomainError(f"forecast DOY {k_doy} not after last context DOY {int(doys[-1])}")
-    specs = [ForecastSpec(i, int(doys[i + 1]), int(doys[i + 1] - doys[i]))
-             for i in range(c - 1)]
-    specs.append(ForecastSpec(c - 1, int(k_doy), int(k_doy - doys[-1])))
-    return specs
 
 
 class Forecaster(nn.Module):
@@ -102,27 +76,3 @@ def repopulate(tokens: Tensor, grid_idx: np.ndarray, g_total: int) -> Tensor:
     lead_idx = np.ix_(*[np.arange(n) for n in lead]) if lead else ()
     idx = tuple(a[..., None] for a in lead_idx) + (grid_idx,)
     return put(tokens, idx, (*lead, g_total, d))
-
-
-def decode_series(decoder: PatchDecoder, emb_stw: Tensor, plans: list[MaskPlan],
-                  side: int) -> Tensor:
-    """Emb_STW (B, T, U, D) -> reconstructed images (B, T, 6, H, H)."""
-    b, t, u, d = emb_stw.shape
-    if len(plans) != b:
-        raise ShapeError(f"{len(plans)} plans for batch of {b}")
-    g = plans[0].g_patches
-    grid_idx = np.stack([p.unmasked_patches for p in plans])    # (B, T, U)
-    full = repopulate(emb_stw, grid_idx, g)                     # (B, T, G, D)
-    patches = decoder(full)
-    return fold_patches(patches, side, decoder.patch)
-
-
-def decode_forecast(decoder: PatchDecoder, target_emb: Tensor,
-                    grid_idx: np.ndarray, g_total: int, side: int) -> Tensor:
-    """Forecast embeddings (B, U, D) at the source row's grid positions
-    (B, U) -> one image (B, 6, H, H)."""
-    if target_emb.shape[:2] != grid_idx.shape:
-        raise ShapeError(f"embeddings {target_emb.shape} do not match grid index {grid_idx.shape}")
-    full = repopulate(target_emb, grid_idx, g_total)
-    patches = decoder(full)
-    return fold_patches(patches, side, decoder.patch)

@@ -67,11 +67,19 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
         pos += n
         return out
 
+    def text(n: int, what: str) -> str:
+        at = pos
+        raw = take(n, what)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise DataFormatError(f"{what} is not UTF-8", offset=at + e.start) from None
+
     if take(8, "magic") != MAGIC:
         raise DataFormatError(f"bad checkpoint magic in {path}", offset=0)
     (meta_len,) = struct.unpack("<I", take(4, "metadata length"))
     meta: dict[str, str] = {}
-    for line in take(meta_len, "metadata").decode("utf-8").splitlines():
+    for line in text(meta_len, "metadata").splitlines():
         key, _, value = line.partition(": ")
         meta[key] = value
     (count,) = struct.unpack("<I", take(4, "tensor count"))
@@ -79,7 +87,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     entries = []
     for i in range(count):
         (name_len,) = struct.unpack("<H", take(2, f"entry {i} name length"))
-        name = take(name_len, f"entry {i} name").decode("utf-8")
+        name = text(name_len, f"entry {i} name")
         tag, rank = struct.unpack("<BB", take(2, f"entry {i} dtype/rank"))
         if tag not in _DTYPES:
             raise DataFormatError(f"unknown dtype tag {tag} for tensor '{name}'", offset=pos - 2)

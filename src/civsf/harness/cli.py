@@ -13,15 +13,15 @@ import sys
 import numpy as np
 
 from civsf.datamodel import load_container, split
+from civsf.encoders import unpatchify
 from civsf.errors import (CompatibilityError, ConfigError, DataFormatError,
                           DomainError, NumericError, ShapeError)
 from civsf.harness import config as config_mod
 from civsf.harness import report
 from civsf.harness.config import FRAMEWORKS, Config
-from civsf.harness.metrics import bucket_means
 from civsf.harness.ppm import write_ppm
 from civsf.masking import build_mask, render_mask, verify_mask
-from civsf.numerics import RngStream, no_grad
+from civsf.numerics import RngStream, Tensor, no_grad
 from civsf.numerics.gradcheck import grad_check
 
 
@@ -149,40 +149,27 @@ def cmd_evaluate(args) -> int:
             print(table.render_text())
         return 0
     from civsf.training import finetune as ft
-    from civsf.training.pretrain import _phase1c_batch
+    from civsf.training.pretrain import reconstruction_objective
     model, cfg, _ = _ckpt_model(args.ckpt)
     samples = _load_data(args.data)
     _, _, test_idx = split(len(samples), (cfg.train_frac, cfg.val_frac, cfg.test_frac),
                            cfg.seed)
     stream = RngStream(cfg.seed)
-    from civsf.datamodel import context_windows
-    windows = [(si, s) for si in test_idx
-               for s in context_windows(samples[si], cfg.context_len)]
+    windows = ft.windows_of(samples, test_idx, cfg.context_len)
     windows = windows[:cfg.ft_max_eval] if cfg.ft_max_eval else windows
     if not windows:
         raise DomainError("no evaluation windows in the test split")
-    rng = stream.generator("eval/mask")
-    total, seen = 0.0, 0
-    with no_grad():
-        for lo in range(0, len(windows), cfg.ft_batch):
-            chunk = windows[lo:lo + cfg.ft_batch]
-            loss = _phase1c_batch(model, samples, chunk, cfg, rng)
-            total += float(loss.data) * len(chunk)
-            seen += len(chunk)
-    print(f"reconstruction objective on test split: {total / seen:.6f} "
-          f"({seen} windows, config {cfg.hash()}, seed {cfg.seed})")
+    loss = reconstruction_objective(model, samples, windows, cfg, stream.generator("eval/mask"))
+    print(f"reconstruction objective on test split: {loss:.6f} "
+          f"({len(windows)} windows, config {cfg.hash()}, seed {cfg.seed})")
 
     if model.forecaster is not None:
-        from civsf.numerics import Tensor
-        _, insts = ft._instance_pools(samples, cfg, stream, "eval")
-        femb, truth, deltas = ft._forecast_cache(model, samples, insts, cfg)
-        with no_grad():
-            pred = model.decoder(Tensor(femb)).data
-        per_inst = ((pred - truth) ** 2).mean(axis=(1, 2))
+        _, insts = ft.instance_pools(samples, cfg, stream, "eval")
+        femb, truth, deltas = ft.forecast_cache(model, samples, insts, cfg)
         table = report.ReportTable("Forecast MSE on test-split instances (no fine-tune)",
                                    "MSE", (model.kind,),
                                    {"config": cfg.hash(), "seed": str(cfg.seed)})
-        for row, value in bucket_means(per_inst, deltas).items():
+        for row, value in ft.forecast_mse(model.decoder, femb, truth, deltas).items():
             table.set(row, model.kind, value)
         print(table.render_text())
     return 0
@@ -202,46 +189,22 @@ def cmd_forecast(args) -> int:
         raise DomainError(f"target doy {args.target_doy} not after context end {last_doy}")
     if model.forecaster is None:
         raise CompatibilityError(f"forecast needs a *-VSF checkpoint, got '{model.kind}'")
-    targets = np.flatnonzero(s.doys == args.target_doy)
-    femb = _forecast_at(model, s, args.start, args.target_doy, cfg)
-    from civsf.encoders import unpatchify
+    window = slice(args.start, args.start + c)
+    femb = model.frozen_forecast(s.images[window][None], s.doys[window][None],
+                                 s.weather[None], int(s.start_doy),
+                                 np.array([args.target_doy]))
     with no_grad():
-        from civsf.numerics import Tensor
         patches = model.decoder(Tensor(femb)).data
     img = unpatchify(patches[0], model.enc.side, model.enc.patch)
     write_ppm(args.out, img, config_hash=cfg.hash(), seed=cfg.seed)
     print(f"wrote forecast composite to {args.out}")
+    targets = np.flatnonzero(s.doys == args.target_doy)
     if targets.size:
         truth_path = args.out + ".truth.ppm"
         write_ppm(truth_path, s.images[int(targets[0])],
                   config_hash=cfg.hash(), seed=cfg.seed)
         print(f"wrote observed composite to {truth_path}")
     return 0
-
-
-def _forecast_at(model, s, start_idx: int, target_doy: int, cfg: Config) -> np.ndarray:
-    """Frozen forecast embedding for one window of one sample at any DOY
-    after the context (observed or not)."""
-    from civsf.forecast_decode import forecast_embed
-    from civsf.training.model import trivial_plans
-    c = cfg.context_len
-    imgs = s.images[start_idx:start_idx + c][None]
-    doys = s.doys[start_idx:start_idx + c][None]
-    start = int(s.start_doy)
-    tgt = np.array([target_doy])
-    if target_doy - start + 1 > s.weather.shape[0]:
-        raise DomainError(f"target doy {target_doy} beyond weather span")
-    plans = trivial_plans(c, model.enc.grid, 1)
-    with no_grad():
-        h = None
-        w_t = None
-        if model.weather is not None:
-            h = model.encode_weather(s.weather[None], steps=target_doy - start + 1)
-            w_t = h[np.arange(1), tgt - start]
-        emb = model.encode_series(imgs, doys, h, start, plans, mask_pixels=True)
-        femb = forecast_embed(model.forecaster, emb[:, -1], w_t,
-                              model.doy(tgt), model.delta(tgt - doys[:, -1]))
-    return femb.data
 
 
 def cmd_inspect_mask(args) -> int:

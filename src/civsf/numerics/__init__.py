@@ -1,7 +1,6 @@
 from civsf.numerics.tensor import (
     Tensor,
     collect_grads,
-    concat,
     log_softmax,
     no_grad,
     pad2d,
@@ -14,6 +13,6 @@ from civsf.numerics.gradcheck import grad_check
 from civsf.numerics.rng import RngStream
 
 __all__ = [
-    "Tensor", "collect_grads", "concat", "log_softmax", "no_grad", "pad2d",
+    "Tensor", "collect_grads", "log_softmax", "no_grad", "pad2d",
     "put", "softmax", "stack", "nn", "optim", "grad_check", "RngStream",
 ]

@@ -31,20 +31,6 @@ class Optimizer:
             raise NumericError(f"non-finite gradient for parameter '{name}'")
         return g
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {}
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        if arrays:
-            raise ShapeError("this optimizer carries no state")
-
-
-class Sgd(Optimizer):
-    def step(self) -> None:
-        for name, p in self.params:
-            g = self._grad(name, p)
-            p.data = p.data - self.lr * g
-
 
 class Adam(Optimizer):
     """Adam with bias correction; weight_decay > 0 makes it AdamW (decoupled)."""

@@ -31,6 +31,3 @@ class RngStream:
         """A derived integer seed, for handing to components that keep their own stream."""
         seq = np.random.SeedSequence((self.seed, _label_key(label)))
         return int(seq.generate_state(1, np.uint64)[0])
-
-    def child(self, label: str) -> "RngStream":
-        return RngStream(self.child_seed(label))

@@ -399,17 +399,6 @@ def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return Tensor._make(out_data, parents, bwd)
 
 
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    parents = tuple(tensors)
-    sizes = [t.data.shape[axis] for t in parents]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return Tensor._make(np.concatenate([t.data for t in parents], axis=axis), parents, bwd)
-
-
 def put(values: Tensor, idx, shape: tuple[int, ...]) -> Tensor:
     """Scatter values into a zero tensor of the given shape: out[idx] = values.
 

@@ -8,6 +8,7 @@ checkpoint; reconstruction and estimation heads accept all four kinds.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,11 +16,10 @@ import numpy as np
 from civsf.datamodel import Instance, Sample, build_instances, context_windows, split
 from civsf.encoders import patchify, unpatchify
 from civsf.errors import CompatibilityError, DomainError, NumericError
-from civsf.forecast_decode import forecast_embed
 from civsf.harness.config import Config
 from civsf.harness.metrics import bucket_means, macro_f1, mse
 from civsf.numerics import RngStream, Tensor, log_softmax, nn, no_grad, optim, softmax
-from civsf.training.model import FrameworkModel, trivial_plans, uses_forecaster
+from civsf.training.model import FrameworkModel, uses_forecaster
 
 
 @dataclass
@@ -130,16 +130,9 @@ def _start_doy(samples: list[Sample], idxs) -> int:
     return starts.pop()
 
 
-def _frozen_embed(model: FrameworkModel, imgs: np.ndarray, doys: np.ndarray,
-                  start: int, weathers: np.ndarray | None) -> np.ndarray:
-    """Encode with r=0 plans; returns Emb_STW (B, T, G, D) as plain arrays."""
-    b, t = imgs.shape[:2]
-    plans = trivial_plans(t, model.enc.grid, b)
-    with no_grad():
-        h = None
-        if model.weather is not None and weathers is not None:
-            h = model.encode_weather(weathers, steps=int(doys.max()) - start + 1)
-        return model.encode_series(imgs, doys, h, start, plans, mask_pixels=True).data
+def windows_of(samples: list[Sample], idxs, length: int) -> list[tuple[int, int]]:
+    """Every (sample, start) window of the given length in the listed samples."""
+    return [(si, s) for si in idxs for s in context_windows(samples[si], length)]
 
 
 def _window_arrays(samples, windows, length):
@@ -149,31 +142,48 @@ def _window_arrays(samples, windows, length):
 
 
 def _embed_windows(model: FrameworkModel, samples, windows, length, cfg,
-                   images_override: np.ndarray | None = None) -> np.ndarray:
-    """Chunked frozen encode of C-length windows -> (N, C, G, D)."""
+                   images: np.ndarray | None = None) -> np.ndarray:
+    """Chunked frozen encode of windows -> Emb_STW (N, T, G, D); images, when
+    given, replace the windows' own images."""
     out = []
     for lo in range(0, len(windows), cfg.ft_batch):
         chunk = windows[lo:lo + cfg.ft_batch]
-        if images_override is not None:
-            imgs = images_override[lo:lo + cfg.ft_batch]
-            doys = np.stack([samples[si].doys[s:s + length] for si, s in chunk])
-        else:
-            imgs, doys = _window_arrays(samples, chunk, length)
-        start = _start_doy(samples, [si for si, _ in chunk])
-        wx = None
-        if model.weather is not None:
-            wx = np.stack([samples[si].weather for si, _ in chunk])
-        out.append(_frozen_embed(model, imgs, doys, start, wx))
+        imgs, doys = _window_arrays(samples, chunk, length)
+        if images is not None:
+            imgs = images[lo:lo + cfg.ft_batch]
+        wx = np.stack([samples[si].weather for si, _ in chunk])
+        emb, _ = model.frozen_encode(imgs, doys, wx, _start_doy(samples, [si for si, _ in chunk]))
+        out.append(emb.data)
     return np.concatenate(out)
 
 
-def _epoch_perm(n: int, stream: RngStream, label: str) -> np.ndarray:
-    return stream.generator(label).permutation(n)
+def _fit(opt, n: int, epochs: int, cfg: Config, stream: RngStream, label: str,
+         task: str, loss_fn: Callable[[np.ndarray], Tensor]) -> list[float]:
+    """Train a head on n cached items: each epoch draws its order from
+    '<label>/epoch<e>/order' and steps once per ft_batch slice, loss_fn
+    mapping the slice's item indices to the batch loss. Returns the mean
+    loss of each epoch."""
+    losses = []
+    for epoch in range(epochs):
+        perm = stream.generator(f"{label}/epoch{epoch}/order").permutation(n)
+        total = 0.0
+        for lo in range(0, n, cfg.ft_batch):
+            take = perm[lo:lo + cfg.ft_batch]
+            loss = loss_fn(take)
+            if not np.isfinite(loss.data):
+                raise NumericError(f"non-finite loss in {task} fine-tuning at epoch {epoch}")
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+            total += float(loss.data) * len(take)
+        losses.append(total / n)
+    return losses
 
 
-def _check_loss(value: float, task: str, epoch: int) -> None:
-    if not np.isfinite(value):
-        raise NumericError(f"non-finite loss in {task} fine-tuning at epoch {epoch}")
+def _decoder_mse(decoder, emb: np.ndarray, truth: np.ndarray):
+    """Batch loss for _fit: decoded patches of the items' cached embeddings
+    against their truth patches."""
+    return lambda take: ((decoder(Tensor(emb[take])) - truth[take]) ** 2).mean()
 
 
 # -- missing-image reconstruction ------------------------------------------------
@@ -214,10 +224,10 @@ def finetune_missing(model: FrameworkModel, samples: list[Sample], cfg: Config,
     stream = RngStream(seed)
     c = cfg.context_len
     train_s, test_s = _split_idx(samples, cfg)
-    tr_windows = _cap([(si, s) for si in train_s for s in context_windows(samples[si], c)],
-                      cfg.ft_max_train, stream, "ft/missing/cap/train")
-    te_windows = _cap([(si, s) for si in test_s for s in context_windows(samples[si], c)],
-                      cfg.ft_max_eval, stream, "ft/missing/cap/eval")
+    tr_windows = _cap(windows_of(samples, train_s, c), cfg.ft_max_train, stream,
+                      "ft/missing/cap/train")
+    te_windows = _cap(windows_of(samples, test_s, c), cfg.ft_max_eval, stream,
+                      "ft/missing/cap/eval")
     if not tr_windows or not te_windows:
         raise DomainError("missing-image fine-tune has empty train or eval windows")
 
@@ -225,45 +235,29 @@ def finetune_missing(model: FrameworkModel, samples: list[Sample], cfg: Config,
         imgs, _ = _window_arrays(samples, windows, c)
         rng = stream.generator(f"ft/missing/corrupt/{label}")
         corrupted, t_hit, _ = corrupt_series(imgs, model.enc.patch, cfg.missing_pct, rng)
-        emb = _embed_windows(model, samples, windows, c, cfg, images_override=corrupted)
+        emb = _embed_windows(model, samples, windows, c, cfg, images=corrupted)
         truth = patchify(imgs, model.enc.patch)          # clean targets (N, C, G, P)
         rows = np.arange(len(windows))[:, None]
-        return emb, truth[rows, t_hit], t_hit            # truth at hit steps (N, 2, G, P)
+        return emb[rows, t_hit], truth[rows, t_hit]      # hit steps (N, 2, G, D/P)
 
-    emb_tr, truth_tr, hit_tr = prepare(tr_windows, "train")
-    emb_te, truth_te, hit_te = prepare(te_windows, "eval")
+    hit_tr, truth_tr = prepare(tr_windows, "train")
+    hit_te, truth_te = prepare(te_windows, "eval")
 
     model.decoder.reinit(stream.generator("ft/missing/reinit"))
     opt = optim.Adam(model.decoder.named_parameters(), lr=cfg.ft_lr)
-    losses = []
-    rows = np.arange(emb_tr.shape[0])[:, None]
-    for epoch in range(cfg.ft_epochs_missing):
-        perm = _epoch_perm(len(tr_windows), stream, f"ft/missing/epoch{epoch}/order")
-        total, seen = 0.0, 0
-        for lo in range(0, len(perm), cfg.ft_batch):
-            take = perm[lo:lo + cfg.ft_batch]
-            hit = Tensor(emb_tr[rows[take], hit_tr[take]])    # (B, 2, G, D)
-            pred = model.decoder(hit)
-            loss = ((pred - truth_tr[take]) ** 2).mean()
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            total += float(loss.data) * len(take)
-            seen += len(take)
-        losses.append(total / seen)
-        _check_loss(losses[-1], "missing-image", epoch)
-
-    rows_te = np.arange(emb_te.shape[0])[:, None]
+    losses = _fit(opt, len(tr_windows), cfg.ft_epochs_missing, cfg, stream, "ft/missing",
+                  "missing-image", _decoder_mse(model.decoder, hit_tr, truth_tr))
     with no_grad():
-        pred = model.decoder(Tensor(emb_te[rows_te, hit_te]))
-    result_mse = mse(pred.data, truth_te)
-    return FinetuneResult("missing-image", {"mse": result_mse}, losses,
+        pred = model.decoder(Tensor(hit_te))
+    return FinetuneResult("missing-image", {"mse": mse(pred.data, truth_te)}, losses,
                           model.decoder.state_arrays())
 
 
 # -- future-image forecasting -----------------------------------------------------
 
-def _instance_pools(samples, cfg, stream, task) -> tuple[list[Instance], list[Instance]]:
+def instance_pools(samples, cfg, stream, task) -> tuple[list[Instance], list[Instance]]:
+    """Forecast instances of the train and test splits, capped per split
+    with draws labeled by task."""
     train_s, test_s = _split_idx(samples, cfg)
     def pool(idxs):
         out = []
@@ -278,69 +272,56 @@ def _instance_pools(samples, cfg, stream, task) -> tuple[list[Instance], list[In
     return tr, te
 
 
-def _forecast_cache(model: FrameworkModel, samples, insts: list[Instance],
-                    cfg: Config) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frozen forecast embeddings for the final (K-step) target.
+def _instance_batches(samples, insts: list[Instance], cfg: Config):
+    """ft_batch chunks of instances as (chunk, context images, context doys,
+    weather, start doy, target doys)."""
+    c = cfg.context_len
+    for lo in range(0, len(insts), cfg.ft_batch):
+        chunk = insts[lo:lo + cfg.ft_batch]
+        ss = [samples[i.sample_idx] for i in chunk]
+        imgs = np.stack([s.images[i.start:i.start + c] for s, i in zip(ss, chunk)])
+        doys = np.stack([s.doys[i.start:i.start + c] for s, i in zip(ss, chunk)])
+        wx = np.stack([s.weather for s in ss])
+        tgt_doy = np.array([int(s.doys[i.target]) for s, i in zip(ss, chunk)])
+        yield chunk, imgs, doys, wx, _start_doy(samples, [i.sample_idx for i in chunk]), tgt_doy
+
+
+def forecast_cache(model: FrameworkModel, samples, insts: list[Instance],
+                   cfg: Config) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frozen forecast embeddings for each instance's final (K-step) target.
 
     Returns (femb (N, G, D), truth patches (N, G, P), deltas (N,)).
     """
-    c = cfg.context_len
     fembs, truths, deltas = [], [], []
-    for lo in range(0, len(insts), cfg.ft_batch):
-        chunk = insts[lo:lo + cfg.ft_batch]
-        imgs = np.stack([samples[i.sample_idx].images[i.start:i.start + c] for i in chunk])
-        doys = np.stack([samples[i.sample_idx].doys[i.start:i.start + c] for i in chunk])
-        tgt_doy = np.array([int(samples[i.sample_idx].doys[i.target]) for i in chunk])
+    for chunk, imgs, doys, wx, start, tgt_doy in _instance_batches(samples, insts, cfg):
+        fembs.append(model.frozen_forecast(imgs, doys, wx, start, tgt_doy))
         tgt_img = np.stack([samples[i.sample_idx].images[i.target] for i in chunk])
-        start = _start_doy(samples, [i.sample_idx for i in chunk])
-        b = len(chunk)
-        plans = trivial_plans(c, model.enc.grid, b)
-        with no_grad():
-            h = None
-            w_t = None
-            if model.weather is not None:
-                wx = np.stack([samples[i.sample_idx].weather for i in chunk])
-                h = model.encode_weather(wx, steps=int(tgt_doy.max()) - start + 1)
-                w_t = h[np.arange(b), tgt_doy - start]
-            emb = model.encode_series(imgs, doys, h, start, plans, mask_pixels=True)
-            femb = forecast_embed(model.forecaster, emb[:, -1], w_t,
-                                  model.doy(tgt_doy), model.delta(tgt_doy - doys[:, -1]))
-        fembs.append(femb.data)
         truths.append(patchify(tgt_img, model.enc.patch))
         deltas.append(tgt_doy - doys[:, -1])
     return np.concatenate(fembs), np.concatenate(truths), np.concatenate(deltas)
+
+
+def forecast_mse(decoder, femb: np.ndarray, truth: np.ndarray,
+                 deltas: np.ndarray) -> dict[str, float]:
+    """Decoded forecast MSE per instance, averaged within gap buckets."""
+    with no_grad():
+        pred = decoder(Tensor(femb)).data
+    return bucket_means(((pred - truth) ** 2).mean(axis=(1, 2)), deltas)
 
 
 def finetune_future_image(model: FrameworkModel, samples: list[Sample], cfg: Config,
                           seed: int) -> FinetuneResult:
     _require_vsf(model, "future-image")
     stream = RngStream(seed)
-    tr, te = _instance_pools(samples, cfg, stream, "future")
-    femb_tr, truth_tr, _ = _forecast_cache(model, samples, tr, cfg)
-    femb_te, truth_te, delta_te = _forecast_cache(model, samples, te, cfg)
+    tr, te = instance_pools(samples, cfg, stream, "future")
+    femb_tr, truth_tr, _ = forecast_cache(model, samples, tr, cfg)
+    femb_te, truth_te, delta_te = forecast_cache(model, samples, te, cfg)
 
     model.decoder.reinit(stream.generator("ft/future/reinit"))
     opt = optim.Adam(model.decoder.named_parameters(), lr=cfg.ft_lr)
-    losses = []
-    for epoch in range(cfg.ft_epochs_future):
-        perm = _epoch_perm(len(tr), stream, f"ft/future/epoch{epoch}/order")
-        total, seen = 0.0, 0
-        for lo in range(0, len(perm), cfg.ft_batch):
-            take = perm[lo:lo + cfg.ft_batch]
-            pred = model.decoder(Tensor(femb_tr[take]))
-            loss = ((pred - truth_tr[take]) ** 2).mean()
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            total += float(loss.data) * len(take)
-            seen += len(take)
-        losses.append(total / seen)
-        _check_loss(losses[-1], "future-image", epoch)
-
-    with no_grad():
-        pred = model.decoder(Tensor(femb_te)).data
-    per_inst = ((pred - truth_te) ** 2).mean(axis=(1, 2))
-    buckets = bucket_means(per_inst, delta_te)
+    losses = _fit(opt, len(tr), cfg.ft_epochs_future, cfg, stream, "ft/future", "future-image",
+                  _decoder_mse(model.decoder, femb_tr, truth_tr))
+    buckets = forecast_mse(model.decoder, femb_te, truth_te, delta_te)
     return FinetuneResult("future-image", {f"mse/{k}": v for k, v in buckets.items()},
                           losses, model.decoder.state_arrays())
 
@@ -350,27 +331,13 @@ def finetune_future_image(model: FrameworkModel, samples: list[Sample], cfg: Con
 def _soil_cache(model: FrameworkModel, samples, insts: list[Instance], cfg: Config):
     """Frozen constants for the soil head: z_const (N, D), soil context
     series (N, C), targets (N,), deltas (N,)."""
+    if any(samples[i.sample_idx].soil is None for i in insts):
+        raise DomainError("soil fine-tune needs samples with a soil series")
     c = cfg.context_len
     z_out, soils, targets, deltas = [], [], [], []
-    for lo in range(0, len(insts), cfg.ft_batch):
-        chunk = insts[lo:lo + cfg.ft_batch]
-        for i in chunk:
-            if samples[i.sample_idx].soil is None:
-                raise DomainError("soil fine-tune needs samples with a soil series")
-        imgs = np.stack([samples[i.sample_idx].images[i.start:i.start + c] for i in chunk])
-        doys = np.stack([samples[i.sample_idx].doys[i.start:i.start + c] for i in chunk])
-        tgt_doy = np.array([int(samples[i.sample_idx].doys[i.target]) for i in chunk])
-        start = _start_doy(samples, [i.sample_idx for i in chunk])
-        b = len(chunk)
-        plans = trivial_plans(c, model.enc.grid, b)
+    for chunk, imgs, doys, wx, start, tgt_doy in _instance_batches(samples, insts, cfg):
+        emb, w_t = model.frozen_encode(imgs, doys, wx, start, tgt_doy)
         with no_grad():
-            h = None
-            w_t = None
-            if model.weather is not None:
-                wx = np.stack([samples[i.sample_idx].weather for i in chunk])
-                h = model.encode_weather(wx, steps=int(tgt_doy.max()) - start + 1)
-                w_t = h[np.arange(b), tgt_doy - start]
-            emb = model.encode_series(imgs, doys, h, start, plans, mask_pixels=True)
             z = emb[:, -1].mean(axis=1) + model.doy(tgt_doy) \
                 + model.delta(tgt_doy - doys[:, -1])
             if w_t is not None:
@@ -389,28 +356,14 @@ def finetune_soil_forecast(model: FrameworkModel, samples: list[Sample], cfg: Co
                            seed: int) -> FinetuneResult:
     _require_vsf(model, "soil forecast")
     stream = RngStream(seed)
-    tr, te = _instance_pools(samples, cfg, stream, "soil")
+    tr, te = instance_pools(samples, cfg, stream, "soil")
     z_tr, soil_tr, y_tr, _ = _soil_cache(model, samples, tr, cfg)
     z_te, soil_te, y_te, delta_te = _soil_cache(model, samples, te, cfg)
 
     head = SoilForecastHead(model.enc.hidden, stream.generator("ft/soil/init"))
     opt = optim.adamw(head.named_parameters(), lr=cfg.ft_lr)
-    losses = []
-    for epoch in range(cfg.ft_epochs_soil):
-        perm = _epoch_perm(len(tr), stream, f"ft/soil/epoch{epoch}/order")
-        total, seen = 0.0, 0
-        for lo in range(0, len(perm), cfg.ft_batch):
-            take = perm[lo:lo + cfg.ft_batch]
-            pred = head(soil_tr[take], z_tr[take])
-            loss = (pred - y_tr[take]).abs().mean()
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            total += float(loss.data) * len(take)
-            seen += len(take)
-        losses.append(total / seen)
-        _check_loss(losses[-1], "soil forecast", epoch)
-
+    losses = _fit(opt, len(tr), cfg.ft_epochs_soil, cfg, stream, "ft/soil", "soil forecast",
+                  lambda take: (head(soil_tr[take], z_tr[take]) - y_tr[take]).abs().mean())
     with no_grad():
         pred = head(soil_te, z_te).data
     buckets = bucket_means(np.abs(pred - y_te), delta_te)
@@ -425,10 +378,6 @@ def region_of(sample_idx: int, n_regions: int) -> int:
     return sample_idx % n_regions
 
 
-def _estimate_windows(samples, idxs, cfg):
-    return [(si, s) for si in idxs for s in context_windows(samples[si], cfg.context_len)]
-
-
 def _estimate_cache(model, samples, windows, cfg):
     c = cfg.context_len
     for si, _ in windows:
@@ -440,99 +389,72 @@ def _estimate_cache(model, samples, windows, cfg):
     return pooled, truth.astype(np.float32)
 
 
-def _train_estimate(model, pooled_tr, y_tr, cfg, stream, tag):
-    head = EstimateHead(model.enc.hidden, stream.generator(f"ft/estimate/{tag}/init"))
-    opt = optim.adamw(head.named_parameters(), lr=cfg.ft_lr)
-    losses = []
-    n = pooled_tr.shape[0]
-    for epoch in range(cfg.ft_epochs_estimate):
-        perm = _epoch_perm(n, stream, f"ft/estimate/{tag}/epoch{epoch}/order")
-        total, seen = 0.0, 0
-        for lo in range(0, n, cfg.ft_batch):
-            take = perm[lo:lo + cfg.ft_batch]
-            pred = head(pooled_tr[take])
-            loss = (pred - y_tr[take]).abs().mean()
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            total += float(loss.data) * len(take)
-            seen += len(take)
-        losses.append(total / seen)
-        _check_loss(losses[-1], "estimation", epoch)
-    return head, losses
-
-
 def finetune_estimate(model: FrameworkModel, samples: list[Sample], cfg: Config,
                       seed: int, protocol: str = "in-region") -> FinetuneResult:
+    """In-region: train on the train split, score the test split overall and
+    per region. Cross-region: hold each region out in turn, train on the
+    rest, and average the held-out scores."""
     if protocol not in ("in-region", "cross-region"):
         raise DomainError(f"unknown estimation protocol '{protocol}'")
     stream = RngStream(seed)
-
+    regions = [region_of(i, cfg.world_regions) for i in range(len(samples))]
     if protocol == "in-region":
-        train_s, test_s = _split_idx(samples, cfg)
-        tr_w = _cap(_estimate_windows(samples, train_s, cfg), cfg.ft_max_train,
-                    stream, "ft/estimate/cap/train")
-        te_w = _cap(_estimate_windows(samples, test_s, cfg), cfg.ft_max_eval,
-                    stream, "ft/estimate/cap/eval")
+        folds = [("in", "", *_split_idx(samples, cfg))]
+    else:
+        folds = [(f"x{r}", str(r), [i for i, g in enumerate(regions) if g != r],
+                  [i for i, g in enumerate(regions) if g == r])
+                 for r in range(cfg.world_regions) if r in regions]
+        if not folds:
+            raise DomainError("cross-region estimation found no populated regions")
+
+    metrics: dict[str, float] = {}
+    losses: list[float] = []
+    for tag, suffix, tr_idx, te_idx in folds:
+        tr_w = _cap(windows_of(samples, tr_idx, cfg.context_len), cfg.ft_max_train, stream,
+                    f"ft/estimate/cap/train{suffix}")
+        te_w = _cap(windows_of(samples, te_idx, cfg.context_len), cfg.ft_max_eval, stream,
+                    f"ft/estimate/cap/eval{suffix}")
         if not tr_w or not te_w:
             raise DomainError("estimation fine-tune has empty train or eval windows")
         pooled_tr, y_tr = _estimate_cache(model, samples, tr_w, cfg)
         pooled_te, y_te = _estimate_cache(model, samples, te_w, cfg)
-        head, losses = _train_estimate(model, pooled_tr, y_tr, cfg, stream, "in")
+        head = EstimateHead(model.enc.hidden, stream.generator(f"ft/estimate/{tag}/init"))
+        opt = optim.adamw(head.named_parameters(), lr=cfg.ft_lr)
+        losses += _fit(opt, len(tr_w), cfg.ft_epochs_estimate, cfg, stream,
+                       f"ft/estimate/{tag}", "estimation",
+                       lambda take: (head(pooled_tr[take]) - y_tr[take]).abs().mean())
         with no_grad():
-            pred = head(pooled_te).data
-        err = np.abs(pred - y_te)
-        metrics = {"mae/all": float(err.mean())}
-        for r in sorted({region_of(si, cfg.world_regions) for si, _ in te_w}):
-            hit = np.array([region_of(si, cfg.world_regions) == r for si, _ in te_w])
-            metrics[f"mae/region{r}"] = float(err[hit].mean())
-        return FinetuneResult("estimate", metrics, losses, head.state_arrays())
-
-    # cross-region: hold one region out at a time, train on the rest
-    metrics: dict[str, float] = {}
-    all_losses: list[float] = []
-    held_means = []
-    last_head = None
-    for r in range(cfg.world_regions):
-        tr_idx = [i for i in range(len(samples)) if region_of(i, cfg.world_regions) != r]
-        te_idx = [i for i in range(len(samples)) if region_of(i, cfg.world_regions) == r]
-        if not te_idx:
+            err = np.abs(head(pooled_te).data - y_te)
+        if protocol == "cross-region":
+            metrics[f"mae/region{suffix}"] = float(err.mean())
             continue
-        tr_w = _cap(_estimate_windows(samples, tr_idx, cfg), cfg.ft_max_train,
-                    stream, f"ft/estimate/cap/train{r}")
-        te_w = _cap(_estimate_windows(samples, te_idx, cfg), cfg.ft_max_eval,
-                    stream, f"ft/estimate/cap/eval{r}")
-        pooled_tr, y_tr = _estimate_cache(model, samples, tr_w, cfg)
-        pooled_te, y_te = _estimate_cache(model, samples, te_w, cfg)
-        head, losses = _train_estimate(model, pooled_tr, y_tr, cfg, stream, f"x{r}")
-        with no_grad():
-            pred = head(pooled_te).data
-        held = float(np.abs(pred - y_te).mean())
-        metrics[f"mae/region{r}"] = held
-        held_means.append(held)
-        all_losses.extend(losses)
-        last_head = head
-    if not held_means:
-        raise DomainError("cross-region estimation found no populated regions")
-    metrics["mae/all"] = float(np.mean(held_means))
-    return FinetuneResult("estimate-cross", metrics, all_losses,
-                          last_head.state_arrays() if last_head else {})
+        metrics["mae/all"] = float(err.mean())
+        te_regions = np.array([regions[si] for si, _ in te_w])
+        for r in sorted(set(te_regions.tolist())):
+            metrics[f"mae/region{r}"] = float(err[te_regions == r].mean())
+    if protocol == "in-region":
+        return FinetuneResult("estimate", metrics, losses, head.state_arrays())
+    metrics["mae/all"] = float(np.mean([metrics[f"mae/region{r}"] for _, r, _, _ in folds]))
+    return FinetuneResult("estimate-cross", metrics, losses, head.state_arrays())
 
 
 # -- crop-type mapping ---------------------------------------------------------------
 
 def finetune_crop(model: FrameworkModel, samples: list[Sample], cfg: Config,
                   seed: int) -> FinetuneResult:
+    if model.enc.patch != 8:
+        raise CompatibilityError(
+            f"crop mapping needs patch 8, got patch {model.enc.patch}: the head would "
+            f"emit {8 * model.enc.side // model.enc.patch}-pixel maps for "
+            f"{model.enc.side}-pixel crop grids")
     stream = RngStream(seed)
     t_ft = cfg.crop_timestamps
     train_s, test_s = _split_idx(samples, cfg)
     for si in train_s + test_s:
         if samples[si].crops is None:
             raise DomainError("crop fine-tune needs samples with crop grids")
-    tr_w = _cap([(si, s) for si in train_s for s in context_windows(samples[si], t_ft)],
-                cfg.ft_max_train, stream, "ft/crop/cap/train")
-    te_w = _cap([(si, s) for si in test_s for s in context_windows(samples[si], t_ft)],
-                cfg.ft_max_eval, stream, "ft/crop/cap/eval")
+    tr_w = _cap(windows_of(samples, train_s, t_ft), cfg.ft_max_train, stream, "ft/crop/cap/train")
+    te_w = _cap(windows_of(samples, test_s, t_ft), cfg.ft_max_eval, stream, "ft/crop/cap/eval")
     if not tr_w or not te_w:
         raise DomainError("crop fine-tune has empty train or eval windows")
 
@@ -545,22 +467,9 @@ def finetune_crop(model: FrameworkModel, samples: list[Sample], cfg: Config,
     head = CropHead(model.enc.hidden, cfg.crop_classes, n_side,
                     stream.generator("ft/crop/init"))
     opt = optim.Adam(head.named_parameters(), lr=cfg.ft_lr)
-    losses = []
-    for epoch in range(cfg.ft_epochs_crop):
-        perm = _epoch_perm(len(tr_w), stream, f"ft/crop/epoch{epoch}/order")
-        total, seen = 0.0, 0
-        for lo in range(0, len(perm), cfg.ft_batch):
-            take = perm[lo:lo + cfg.ft_batch]
-            logits = head(emb_tr[take], emb_tr[take].mean(axis=2))
-            loss = cross_entropy(logits, y_tr[take])
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            total += float(loss.data) * len(take)
-            seen += len(take)
-        losses.append(total / seen)
-        _check_loss(losses[-1], "crop mapping", epoch)
-
+    losses = _fit(opt, len(tr_w), cfg.ft_epochs_crop, cfg, stream, "ft/crop", "crop mapping",
+                  lambda take: cross_entropy(head(emb_tr[take], emb_tr[take].mean(axis=2)),
+                                             y_tr[take]))
     preds = []
     with no_grad():
         for lo in range(0, len(te_w), cfg.ft_batch):

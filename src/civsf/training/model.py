@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from civsf.datamodel import Sample
 from civsf.encoders import (
     DeltaEmbed,
     DoyEmbed,
@@ -23,12 +22,12 @@ from civsf.encoders import (
     patchify,
     temporal_match,
 )
-from civsf.errors import CompatibilityError, ConfigError
-from civsf.forecast_decode import Forecaster, PatchDecoder
+from civsf.errors import ConfigError, DomainError
+from civsf.forecast_decode import Forecaster, PatchDecoder, forecast_embed
 from civsf.fusion import TemporalEncoder, causal_temporal_encode, fuse_add
 from civsf.harness.config import FRAMEWORKS, Config
 from civsf.masking import MaskPlan
-from civsf.numerics import RngStream, Tensor, nn
+from civsf.numerics import RngStream, Tensor, nn, no_grad
 
 
 def uses_weather(kind: str) -> bool:
@@ -95,17 +94,17 @@ class FrameworkModel(nn.Module):
             return None
         return self.weather(weather, day_mask=day_mask, steps=steps)
 
-    def encode_series(self, images: np.ndarray, doys: np.ndarray,
-                      weather_h: Tensor | None, start_doy: int,
-                      plans: list[MaskPlan], mask_pixels: bool) -> Tensor:
-        """Full encode path to compact Emb_STW (B, T, U, D).
+    def fuse_series(self, patches: np.ndarray, doys: np.ndarray,
+                    weather_h: Tensor | None, start_doy: int,
+                    plans: list[MaskPlan], mask_pixels: bool) -> Tensor:
+        """Tokens of patchified images (B, T, G, P) plus matched weather and
+        DOY embeddings -> (B, T, U, D).
 
         mask_pixels=True: the ViT sees only unmasked patches (phases 1a/2).
         mask_pixels=False: the ViT sees the whole grid and the plan masks
         embeddings at the temporal stage instead (phase 1c).
         """
-        b, t = images.shape[:2]
-        patches = patchify(images, self.enc.patch)
+        b, t = patches.shape[:2]
         if mask_pixels:
             sel, idx = gather_unmasked(patches, plans)
         else:
@@ -115,9 +114,52 @@ class FrameworkModel(nn.Module):
         weather_t = None
         if weather_h is not None:
             weather_t = temporal_match(weather_h, doys, start_doy)
-        fused = fuse_add(tokens, weather_t, self.doy(doys))
+        return fuse_add(tokens, weather_t, self.doy(doys))
+
+    def encode_series(self, images: np.ndarray, doys: np.ndarray,
+                      weather_h: Tensor | None, start_doy: int,
+                      plans: list[MaskPlan], mask_pixels: bool) -> Tensor:
+        """Full encode path to compact Emb_STW (B, T, U, D)."""
+        fused = self.fuse_series(patchify(images, self.enc.patch), doys, weather_h, start_doy,
+                                 plans, mask_pixels)
         return causal_temporal_encode(self.temporal, fused, plans,
                                       full_grid=not mask_pixels)
+
+    def frozen_encode(self, images: np.ndarray, doys: np.ndarray, weather: np.ndarray,
+                      start_doy: int, target_doys: np.ndarray | None = None
+                      ) -> tuple[Tensor, Tensor | None]:
+        """No-grad encode of whole windows, nothing masked.
+
+        images (B, T, 6, H, H), doys (B, T), weather (B, L, 5) from start_doy.
+        Returns Emb_STW (B, T, G, D) and, when target_doys (B,) is given, the
+        weather state at each target (B, D), which is None for kinds without
+        weather. The LSTM runs up to the last image day, or up to the last
+        target day when targets are given (targets follow their windows).
+        """
+        b, t = images.shape[:2]
+        last_day = int(np.max(doys if target_doys is None else target_doys))
+        if last_day - start_doy + 1 > weather.shape[1]:
+            raise DomainError(f"doy {last_day} beyond the weather span of "
+                              f"{weather.shape[1]} days from {start_doy}")
+        plans = trivial_plans(t, self.enc.grid, b)
+        with no_grad():
+            h = self.encode_weather(weather, steps=last_day - start_doy + 1)
+            emb = self.encode_series(images, doys, h, start_doy, plans, mask_pixels=True)
+            at_target = None
+            if h is not None and target_doys is not None:
+                at_target = h[np.arange(b), target_doys - start_doy]
+        return emb, at_target
+
+    def frozen_forecast(self, images: np.ndarray, doys: np.ndarray, weather: np.ndarray,
+                        start_doy: int, target_doys: np.ndarray) -> np.ndarray:
+        """Forecast embeddings (B, G, D) from each window's last timestamp to
+        its target day, which may be any day after the window, observed or not."""
+        emb, w_t = self.frozen_encode(images, doys, weather, start_doy, target_doys)
+        with no_grad():
+            femb = forecast_embed(self.forecaster, emb[:, -1], w_t, self.doy(target_doys),
+                                  self.delta(target_doys - doys[:, -1]))
+        return femb.data
+
 
 def trivial_plans(t_steps: int, g_patches: int, n: int) -> list[MaskPlan]:
     """r=0 plans (nothing masked), shared across a batch of n rows."""
@@ -125,7 +167,3 @@ def trivial_plans(t_steps: int, g_patches: int, n: int) -> list[MaskPlan]:
     plan = MaskPlan(t_steps, g_patches, 0.0, masked,
                     np.arange(t_steps), np.arange(g_patches))
     return [plan] * n
-
-
-def batch_weather(samples: list[Sample], idxs: np.ndarray) -> np.ndarray:
-    return np.stack([samples[i].weather for i in idxs])

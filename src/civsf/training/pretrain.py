@@ -19,15 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from civsf.datamodel import Instance, Sample, build_instances, context_windows
-from civsf.encoders import WeatherEncoder, patchify, temporal_match
+from civsf.encoders import WeatherEncoder, patchify
 from civsf.errors import CompatibilityError, DomainError, NumericError, ShapeError
 from civsf.forecast_decode import forecast_embed, repopulate
-from civsf.fusion import causal_temporal_encode, fuse_add
+from civsf.fusion import causal_temporal_encode
 from civsf.harness.checkpoint import load_checkpoint, save_checkpoint
 from civsf.harness.config import Config
 from civsf.masking import build_mask, build_weather_mask
-from civsf.numerics import RngStream, optim
-from civsf.training.model import FrameworkModel, uses_forecaster, uses_weather
+from civsf.numerics import RngStream, no_grad, optim
+from civsf.training.model import FrameworkModel, uses_forecaster
 
 PHASES = {
     "sm-mr": ("1a", "1c"),
@@ -140,17 +140,14 @@ def _phase1c_batch(model: FrameworkModel, samples, rows, cfg: Config, rng):
     g = model.enc.grid
     plans = [build_mask(c, g, cfg.mask_ratio, rng) for _ in range(b)]
 
-    # the ViT sees every patch; the plans mask embeddings at the temporal stage
-    patches = patchify(imgs, model.enc.patch)
-    grid_all = np.broadcast_to(np.arange(g), (b, c, g))
-    tokens = model.vit(patches.astype(model.dtype, copy=False), grid_all)
-    weather_t = None
     wx = None
+    weather_h = None
     if model.weather is not None:
         wx = np.stack([samples[si].weather for si, _ in rows])
-        h = model.encode_weather(wx, steps=int(doys.max()) - start + 1)
-        weather_t = temporal_match(h, doys, start)
-    fused = fuse_add(tokens, weather_t, model.doy(doys))
+        weather_h = model.encode_weather(wx, steps=int(doys.max()) - start + 1)
+    # the ViT sees every patch; the plans mask embeddings at the temporal stage
+    patches = patchify(imgs, model.enc.patch)
+    fused = model.fuse_series(patches, doys, weather_h, start, plans, mask_pixels=False)
     emb = causal_temporal_encode(model.temporal, fused, plans, full_grid=True)
 
     grid_idx = np.stack([p.unmasked_patches for p in plans])       # (B, C, U)
@@ -169,6 +166,18 @@ def _phase1c_batch(model: FrameworkModel, samples, rows, cfg: Config, rng):
         truth_w = WeatherEncoder.normalize(wx)[np.arange(b)[:, None], doys - start]
         loss = loss + ((wx_pred - truth_w) ** 2).mean()
     return loss
+
+
+def reconstruction_objective(model: FrameworkModel, samples, windows: list[tuple[int, int]],
+                             cfg: Config, rng) -> float:
+    """Mean phase-1c loss over (sample, start) windows, in ft_batch chunks
+    and without gradients."""
+    total = 0.0
+    with no_grad():
+        for lo in range(0, len(windows), cfg.ft_batch):
+            chunk = windows[lo:lo + cfg.ft_batch]
+            total += float(_phase1c_batch(model, samples, chunk, cfg, rng).data) * len(chunk)
+    return total / len(windows)
 
 
 def _phase2_batch(model: FrameworkModel, samples, insts: list[Instance],

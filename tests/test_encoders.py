@@ -13,7 +13,6 @@ from civsf.encoders import (
     EncoderConfig,
     VitEncoder,
     WeatherEncoder,
-    fold_patches,
     gather_unmasked,
     patchify,
     temporal_match,
@@ -50,16 +49,6 @@ def test_patchify_rejects_indivisible():
         patchify(np.zeros((1, 6, 10, 10), dtype=np.float32), 8)
     with pytest.raises(ConfigError):
         patchify(np.zeros((1, 6, 8, 10), dtype=np.float32), 2)
-
-
-def test_fold_patches_matches_unpatchify_and_is_differentiable():
-    rng = np.random.default_rng(1)
-    patches = rng.normal(size=(2, 4, 24)).astype(np.float32)
-    t = Tensor(patches, requires_grad=True)
-    folded = fold_patches(t, 4, 2)
-    assert np.array_equal(folded.data, unpatchify(patches, 4, 2))
-    folded.sum().backward()
-    assert np.array_equal(t.grad, np.ones_like(patches))
 
 
 def test_vit_is_shared_across_timestamps():

@@ -1,15 +1,17 @@
 """Downstream fine-tuning: corruption mechanics, head math, frozen-encoder
 discipline, and end-to-end smoke runs for all five procedures."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from civsf.datamodel import Sample
 from civsf.encoders import patchify
-from civsf.errors import CompatibilityError, DomainError
+from civsf.errors import CompatibilityError, DomainError, NumericError
 from civsf.harness.config import Config
 from civsf.harness.metrics import BUCKET_LABELS
-from civsf.numerics import RngStream, Tensor
+from civsf.numerics import Tensor
 from civsf.synthworld import WorldConfig, gen_dataset
 from civsf.training.finetune import (
     CropHead,
@@ -273,3 +275,63 @@ def test_crop_mapping_smoke(world):
     assert len(res.losses) == cfg.ft_epochs_crop
     assert res.losses[-1] < res.losses[0]
     assert_unchanged(model, before)
+
+
+def test_crop_mapping_needs_patch_8(world):
+    cfg = ft_config(crop_timestamps=6)  # patch 4: the head would emit 32-pixel maps
+    model = FrameworkModel("sm-mr", cfg, 12)
+    with pytest.raises(CompatibilityError, match="patch 8"):
+        finetune_crop(model, world, cfg, seed=13)
+
+
+def test_nonfinite_loss_names_task_and_epoch(world):
+    cfg = ft_config()
+    model = FrameworkModel("ci-vsf", cfg, 8)
+    nan_soil = [dataclasses.replace(s, soil=np.full_like(s.soil, np.nan)) for s in world]
+    with pytest.raises(NumericError, match="non-finite loss in estimation fine-tuning at epoch 0"):
+        finetune_estimate(model, nan_soil, cfg, seed=9)
+
+
+# -- pinned outputs ------------------------------------------------------------------
+
+# metrics and final-epoch loss of each procedure on the `world` fixture from a
+# fresh ci-vsf model (seed 1); a refactor of the fine-tunes must reproduce
+# them, up to float32 rounding (rtol 1e-5)
+PINNED = {
+    "missing": ({"mse": 0.4102991400787107}, 0.11822125315666199),
+    "future": ({"mse/all": 0.4987887168924014, "mse/0 - 25 days": 0.49100027481714886,
+                "mse/25 - 50 days": 0.5042361815770467,
+                "mse/50 - 100 days": 0.49578426281611127,
+                "mse/More than 100 days": 0.5041341483592987}, 0.17217602829138437),
+    "soil": ({"mae/all": 0.21167991993327936, "mae/0 - 25 days": 0.21559997896353403,
+              "mae/25 - 50 days": 0.2661137282848358, "mae/50 - 100 days": 0.17899336169163385,
+              "mae/More than 100 days": 0.14596205204725266}, 0.39809858798980713),
+    "estimate": ({"mae/all": 0.8129363059997559, "mae/region1": 0.8129363059997559},
+                 1.093181888262431),
+    "estimate-cross": ({"mae/region0": 0.2931312620639801, "mae/region1": 1.3494161367416382,
+                        "mae/region2": 0.46305179595947266, "mae/all": 0.7018663982550303},
+                       0.5092805425326029),
+    "crop": ({"macro_f1": 0.12699857605177994}, 1.6318265994389851),
+}
+
+
+@pytest.mark.parametrize("task", sorted(PINNED))
+def test_finetune_outputs_are_pinned(world, task):
+    cfg = ft_config()
+    run = {
+        "missing": lambda m: finetune_missing(m, world, cfg, seed=3),
+        "future": lambda m: finetune_future_image(m, world, cfg, seed=4),
+        "soil": lambda m: finetune_soil_forecast(m, world, cfg, seed=6),
+        "estimate": lambda m: finetune_estimate(m, world, cfg, seed=9),
+        "estimate-cross": lambda m: finetune_estimate(
+            m, world, ft_config(world_regions=3), seed=11, protocol="cross-region"),
+        "crop": lambda m: finetune_crop(m, world, ft_config(patch=8, crop_timestamps=6),
+                                        seed=13),
+    }[task]
+    model_cfg = ft_config(patch=8) if task == "crop" else cfg
+    res = run(FrameworkModel("ci-vsf", model_cfg, 1))
+    metrics, final_loss = PINNED[task]
+    assert list(res.metrics) == list(metrics)
+    for key, want in metrics.items():
+        assert res.metrics[key] == pytest.approx(want, rel=1e-5), key
+    assert res.losses[-1] == pytest.approx(final_loss, rel=1e-5)

@@ -1,53 +1,12 @@
-"""Forecaster targets, embedding morphing, and the repopulating decoder."""
+"""Forecaster embedding morphing and the repopulating decoder."""
 
 import numpy as np
 import pytest
 
-from civsf.errors import DomainError, ShapeError
-from civsf.forecast_decode import (
-    Forecaster,
-    ForecastSpec,
-    PatchDecoder,
-    decode_forecast,
-    decode_series,
-    forecast_embed,
-    next_step_targets,
-    repopulate,
-)
+from civsf.errors import ShapeError
+from civsf.forecast_decode import Forecaster, PatchDecoder, forecast_embed, repopulate
 from civsf.masking import build_mask
 from civsf.numerics import Tensor
-from civsf.training.model import trivial_plans
-
-
-def test_next_step_targets_arithmetic():
-    doys = np.array([10, 25, 40, 60])
-    specs = next_step_targets(doys, 95)
-    assert specs == [
-        ForecastSpec(0, 25, 15),
-        ForecastSpec(1, 40, 15),
-        ForecastSpec(2, 60, 20),
-        ForecastSpec(3, 95, 35),
-    ]
-
-
-def test_next_step_targets_counts_match_context():
-    doys = np.array([5, 9, 14, 30, 77, 100])
-    specs = next_step_targets(doys, 130)
-    assert len(specs) == len(doys)
-    assert [s.src_index for s in specs] == list(range(6))
-    for i, s in enumerate(specs[:-1]):
-        assert s.target_doy == int(doys[i + 1])
-        assert s.delta == int(doys[i + 1] - doys[i])
-    assert specs[-1].delta == 30
-
-
-def test_next_step_targets_domain_errors():
-    with pytest.raises(DomainError):
-        next_step_targets(np.array([10]), 50)
-    with pytest.raises(DomainError):
-        next_step_targets(np.array([10, 20]), 20)  # target not after last
-    with pytest.raises(DomainError):
-        next_step_targets(np.array([10, 20]), 15)
 
 
 def test_forecast_embed_additive_then_mlp():
@@ -114,18 +73,15 @@ def test_masked_slots_decode_to_one_constant_patch():
     dec = PatchDecoder(8, 2, np.random.default_rng(7))
     plan = build_mask(4, 16, 0.5, np.random.default_rng(8))
     emb = Tensor(rng.normal(size=(1, 4, 8, 8)).astype(np.float32))
-    imgs = decode_series(dec, emb, [plan], side=8).data
-    assert imgs.shape == (1, 4, 6, 8, 8)
+    patches = dec(repopulate(emb, plan.unmasked_patches[None], 16)).data
+    assert patches.shape == (1, 4, 16, 24)
 
     # decode the zero vector once: every masked slot must show exactly that patch
-    zero_patch = dec(Tensor(np.zeros((1, 8), dtype=np.float32))).data.reshape(6, 2, 2)
-    from civsf.encoders import patchify
-    patches = patchify(imgs, 2)  # (1, 4, 16, 24)
+    zero_patch = dec(Tensor(np.zeros((1, 8), dtype=np.float32))).data[0]
     for t in range(4):
         for g in range(16):
             if plan.masked[t, g]:
-                got = patches[0, t, g].reshape(6, 2, 2)
-                assert np.allclose(got, zero_patch, atol=1e-6), (t, g)
+                assert np.allclose(patches[0, t, g], zero_patch, atol=1e-6), (t, g)
 
 
 def test_unmasked_slots_decode_from_their_embeddings():
@@ -133,24 +89,11 @@ def test_unmasked_slots_decode_from_their_embeddings():
     dec = PatchDecoder(8, 2, np.random.default_rng(10))
     plan = build_mask(2, 4, 0.5, np.random.default_rng(11))
     emb_data = rng.normal(size=(1, 2, 2, 8)).astype(np.float32)
-    imgs = decode_series(dec, Tensor(emb_data), [plan], side=4).data
-    from civsf.encoders import patchify
-    patches = patchify(imgs, 2)
+    patches = dec(repopulate(Tensor(emb_data), plan.unmasked_patches[None], 4)).data
     for t in range(2):
         for slot, g in enumerate(plan.unmasked_patches[t]):
             want = dec(Tensor(emb_data[0, t, slot][None])).data[0]
             assert np.allclose(patches[0, t, g], want, atol=1e-6)
-
-
-def test_decode_forecast_full_grid():
-    rng = np.random.default_rng(12)
-    dec = PatchDecoder(8, 2, np.random.default_rng(13))
-    emb = Tensor(rng.normal(size=(2, 4, 8)).astype(np.float32))
-    grid_idx = np.tile(np.arange(4), (2, 1))
-    img = decode_forecast(dec, emb, grid_idx, 4, side=4)
-    assert img.shape == (2, 6, 4, 4)
-    with pytest.raises(ShapeError):
-        decode_forecast(dec, emb, grid_idx[:, :2], 4, side=4)
 
 
 def test_decoder_reinit_changes_weights_deterministically():
@@ -166,10 +109,3 @@ def test_decoder_reinit_changes_weights_deterministically():
         assert np.array_equal(p.data, after1[n])
     # biases reinitialize to zero
     assert np.array_equal(dec.l1.b.data, np.zeros_like(dec.l1.b.data))
-
-
-def test_decode_series_plan_mismatch():
-    dec = PatchDecoder(8, 2, np.random.default_rng(16))
-    emb = Tensor(np.zeros((2, 2, 2, 8), dtype=np.float32))
-    with pytest.raises(ShapeError):
-        decode_series(dec, emb, trivial_plans(2, 4, 1), side=4)

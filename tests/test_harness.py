@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from civsf.errors import ConfigError, DataFormatError, DomainError, ShapeError
+from civsf.datamodel import load_container
 from civsf.harness import config as config_mod
 from civsf.harness.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from civsf.harness.cli import cli
@@ -174,6 +175,27 @@ def test_checkpoint_duplicate_name(tmp_path):
         fh.write(blob)
     with pytest.raises(DataFormatError, match="duplicate tensor name 'w'"):
         load_checkpoint(path)
+
+
+def test_checkpoint_non_utf8_text_reports_offset(tmp_path):
+    path = str(tmp_path / "meta.ckpt")
+    save_checkpoint(path, {}, {"framework": "ci-vsf"})
+    blob = bytearray(open(path, "rb").read())
+    blob[12] = 0xFF  # first metadata byte, after magic and length
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(DataFormatError, match="metadata is not UTF-8") as exc:
+        load_checkpoint(path)
+    assert exc.value.offset == 12
+
+    path = str(tmp_path / "name.ckpt")
+    save_checkpoint(path, {"w": np.zeros(2, dtype=np.float32)}, {})
+    blob = bytearray(open(path, "rb").read())
+    name_at = 8 + 4 + 0 + 4 + 2  # magic, meta len, meta, count, name len
+    blob[name_at] = 0xFF
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(DataFormatError, match="entry 0 name is not UTF-8") as exc:
+        load_checkpoint(path)
+    assert exc.value.offset == name_at
 
 
 def test_checkpoint_rejects_bad_metadata(tmp_path):
@@ -451,6 +473,29 @@ def test_cli_forecast_writes_ppm(cli_dir, capsys):
                 "--out", path])
     assert code == 3
     assert "VSF" in capsys.readouterr().err
+
+
+def test_cli_non_utf8_checkpoint_exits_3(cli_dir, capsys):
+    blob = bytearray(open(cli_dir["ci"], "rb").read())
+    blob[12] = 0xFF
+    bad = str(cli_dir["root"] / "non-utf8.ckpt")
+    open(bad, "wb").write(bytes(blob))
+    assert cli(["evaluate", "--data", cli_dir["data"], "--ckpt", bad]) == 3
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_crop_mapping_rejects_patch_4_checkpoint(cli_dir, capsys):
+    from civsf.errors import CompatibilityError
+    from civsf.training.finetune import finetune_crop
+    from civsf.training.pretrain import load_model
+    model, cfg, _ = load_model(cli_dir["ci"])
+    assert model.enc.patch == 4
+    with pytest.raises(CompatibilityError, match="patch 8"):
+        finetune_crop(model, load_container(cli_dir["data"]), cfg, seed=0)
+    code = cli(["finetune", "--data", cli_dir["data"], "--ckpt", cli_dir["ci"],
+                "--task", "crop"] + sets())
+    assert code == 3
+    assert "needs patch 8" in capsys.readouterr().err
 
 
 def test_cli_inspect_mask(capsys):

@@ -20,7 +20,7 @@ from civsf.masking import build_mask
 from civsf.numerics import RngStream, Tensor, optim
 from civsf.numerics.gradcheck import grad_check
 from civsf.synthworld import WorldConfig, gen_dataset
-from civsf.training.model import FrameworkModel, batch_weather
+from civsf.training.model import FrameworkModel
 from civsf.training.pretrain import (
     EpochRecord,
     _optim_step,
@@ -165,7 +165,7 @@ def test_each_phase_loss_finite_and_backpropagates(tiny_world):
     rng = RngStream(1).generator("t/mask")
 
     l1a = _phase1a_batch(model, tiny_world, [(0, 0), (1, 2)], cfg, rng)
-    wx = batch_weather(tiny_world, np.array([0, 1]))
+    wx = np.stack([tiny_world[0].weather, tiny_world[1].weather])
     l1b = _phase1b_batch(model, wx, cfg, rng)
     l1c = _phase1c_batch(model, tiny_world, [(0, 0), (1, 1)], cfg, rng)
     pool = phase2_window_pool(tiny_world, cfg)
@@ -284,7 +284,7 @@ def test_masked_path_gradients_at_half_ratio(tiny_world):
 
 def test_optim_step_rejects_nonfinite_loss():
     p = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
-    opt = optim.Sgd([("p", p)], lr=0.1)
+    opt = optim.Adam([("p", p)], lr=0.1)
     bad = Tensor(np.array(np.inf, dtype=np.float32))
     with pytest.raises(NumericError, match="phase 1a at epoch 3"):
         _optim_step(opt, bad, "1a", 3)
