@@ -14,17 +14,15 @@ No padding anywhere; every offset follows from the header fields.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from civsf.errors import ConfigError, DataFormatError, DomainError
+from civsf.errors import ConfigError, DataFormatError, DomainError, ShapeError
 
 MAGIC = b"CIVSFDS1"
 BANDS = 6
 WEATHER_CHANNELS = 5
-BAND_NAMES = ("B2", "B3", "B4", "B8", "B9", "B12")
-WEATHER_NAMES = ("tmin", "tmax", "precip", "wind_u", "wind_v")
 
 
 @dataclass
@@ -44,15 +42,6 @@ class Sample:
     @property
     def side(self) -> int:
         return self.images.shape[2]
-
-    def day_index(self, doy: int) -> int:
-        """Index into the weather series for a DOY; DomainError when uncovered."""
-        idx = int(doy) - self.start_doy
-        if idx < 0 or idx >= self.weather.shape[0]:
-            raise DomainError(
-                f"doy {doy} outside weather coverage [{self.start_doy}, "
-                f"{self.start_doy + self.weather.shape[0] - 1}]")
-        return idx
 
 
 def validate(sample: Sample) -> list[str]:
@@ -116,10 +105,6 @@ class Instance:
     target: int
     delta: int
 
-    @property
-    def context(self) -> np.ndarray:
-        return np.arange(self.start, self.start + self.length)
-
 
 def build_instances(sample: Sample, sample_idx: int, context_len: int,
                     gap_min: int, gap_max: int) -> list[Instance]:
@@ -146,6 +131,26 @@ def build_instances(sample: Sample, sample_idx: int, context_len: int,
 def context_windows(sample: Sample, context_len: int) -> list[int]:
     """Start indices of every full-length context window (for reconstruction phases)."""
     return list(range(max(0, sample.t_steps - context_len + 1)))
+
+
+def stack_windows(samples: list[Sample], rows, length: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Batch arrays of (sample, start) context windows of the given length.
+
+    Returns images (B, length, 6, H, H), DOYs (B, length), whole weather
+    series (B, L, 5) and the start DOY they share; ShapeError when the rows'
+    samples differ in start DOY or weather length.
+    """
+    starts = sorted({int(samples[si].start_doy) for si, _ in rows})
+    if len(starts) != 1:
+        raise ShapeError(f"mixed start_doy values in one batch: {starts}")
+    spans = sorted({samples[si].weather.shape[0] for si, _ in rows})
+    if len(spans) != 1:
+        raise ShapeError(f"mixed weather lengths in one batch: {spans}")
+    images = np.stack([samples[si].images[s:s + length] for si, s in rows])
+    doys = np.stack([samples[si].doys[s:s + length] for si, s in rows])
+    weather = np.stack([samples[si].weather for si, _ in rows])
+    return images, doys, weather, starts[0]
 
 
 def split(n_samples: int, fractions: tuple[float, float, float],

@@ -1,6 +1,7 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric abort.
+Exit codes: 0 success, 2 configuration error, 3 data or I/O error, 4 numeric
+abort.
 Flags override config-file values; `--set key=value` overrides any field.
 """
 
@@ -12,7 +13,7 @@ import sys
 
 import numpy as np
 
-from civsf.datamodel import load_container, split
+from civsf.datamodel import load_container, split, stack_windows
 from civsf.encoders import unpatchify
 from civsf.errors import (CompatibilityError, ConfigError, DataFormatError,
                           DomainError, NumericError, ShapeError)
@@ -91,30 +92,20 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-_FT_TASKS = ("soil", "estimate", "estimate-cross", "crop", "missing", "future")
-_FT_METRIC = {"soil": "MAE", "estimate": "MAE", "estimate-cross": "MAE",
-              "crop": "F1", "missing": "MSE", "future": "MSE"}
-
-
-def _run_finetune(task: str, model, samples, cfg: Config, seed: int):
-    from civsf.training import finetune as ft
-    if task == "soil":
-        return ft.finetune_soil_forecast(model, samples, cfg, seed)
-    if task == "estimate":
-        return ft.finetune_estimate(model, samples, cfg, seed, protocol="in-region")
-    if task == "estimate-cross":
-        return ft.finetune_estimate(model, samples, cfg, seed, protocol="cross-region")
-    if task == "crop":
-        return ft.finetune_crop(model, samples, cfg, seed)
-    if task == "missing":
-        return ft.finetune_missing(model, samples, cfg, seed)
-    if task == "future":
-        return ft.finetune_future_image(model, samples, cfg, seed)
-    raise ConfigError(f"unknown fine-tune task '{task}'")
+# task -> (function in training.finetune, its keyword arguments, table metric)
+_FT_TASKS = {
+    "soil": ("finetune_soil_forecast", {}, "MAE"),
+    "estimate": ("finetune_estimate", {"protocol": "in-region"}, "MAE"),
+    "estimate-cross": ("finetune_estimate", {"protocol": "cross-region"}, "MAE"),
+    "crop": ("finetune_crop", {}, "F1"),
+    "missing": ("finetune_missing", {}, "MSE"),
+    "future": ("finetune_future_image", {}, "MSE"),
+}
 
 
 def cmd_finetune(args) -> int:
     from civsf.harness.checkpoint import save_checkpoint
+    from civsf.training import finetune as ft
     model, cfg, _ = _ckpt_model(args.ckpt)
     ov = _overrides(args)
     if ov:
@@ -123,9 +114,10 @@ def cmd_finetune(args) -> int:
         cfg = Config(**config_mod.parse_pairs(pairs))
     samples = _load_data(args.data)
     seed = cfg.seed if args.seed is None else args.seed
-    result = _run_finetune(args.task, model, samples, cfg, seed)
+    fn_name, kwargs, metric = _FT_TASKS[args.task]
+    result = getattr(ft, fn_name)(model, samples, cfg, seed, **kwargs)
 
-    table = report.from_metrics(f"{result.task} ({model.kind})", _FT_METRIC[args.task],
+    table = report.from_metrics(f"{result.task} ({model.kind})", metric,
                                 model.kind, result.metrics, cfg.hash(), seed)
     print(table.render_text())
     if args.out:
@@ -189,10 +181,8 @@ def cmd_forecast(args) -> int:
         raise DomainError(f"target doy {args.target_doy} not after context end {last_doy}")
     if model.forecaster is None:
         raise CompatibilityError(f"forecast needs a *-VSF checkpoint, got '{model.kind}'")
-    window = slice(args.start, args.start + c)
-    femb = model.frozen_forecast(s.images[window][None], s.doys[window][None],
-                                 s.weather[None], int(s.start_doy),
-                                 np.array([args.target_doy]))
+    imgs, doys, wx, start = stack_windows(samples, [(args.sample, args.start)], c)
+    femb = model.frozen_forecast(imgs, doys, wx, start, np.array([args.target_doy]))
     with no_grad():
         patches = model.decoder(Tensor(femb)).data
     img = unpatchify(patches[0], model.enc.side, model.enc.patch)
@@ -333,12 +323,11 @@ def cli(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (DataFormatError, DomainError, CompatibilityError, ShapeError,
-            FileNotFoundError, IsADirectoryError) as e:
+    except (DataFormatError, DomainError, CompatibilityError, ShapeError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
-    except (NumericError, OSError) as e:
-        print(f"numeric/io error: {e}", file=sys.stderr)
+    except NumericError as e:
+        print(f"numeric error: {e}", file=sys.stderr)
         return 4
 
 

@@ -34,7 +34,6 @@ class Config:
     # masking
     mask_ratio: float = 0.5
     weather_mask_ratio: float = 0.5
-    mask_resample: str = "epoch"        # epoch | step
 
     # instance construction
     context_len: int = 6
@@ -54,7 +53,6 @@ class Config:
     epochs_2: int = 30
     images_per_epoch: int = 4096
     instances_per_epoch: int = 256
-    loss_scope: str = "full"            # full | unmasked
     ckpt_every: int = 0                 # extra checkpoint every N epochs; 0 = phase ends only
 
     # fine-tuning
@@ -81,10 +79,9 @@ class Config:
     def __post_init__(self):
         if self.framework not in FRAMEWORKS:
             raise ConfigError(f"unknown framework '{self.framework}', expected one of {FRAMEWORKS}")
-        if self.mask_resample not in ("epoch", "step"):
-            raise ConfigError(f"mask_resample must be 'epoch' or 'step', got '{self.mask_resample}'")
-        if self.loss_scope not in ("full", "unmasked"):
-            raise ConfigError(f"loss_scope must be 'full' or 'unmasked', got '{self.loss_scope}'")
+        for name in ("batch_size", "seq_batch_size", "ft_batch"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (0.0 <= self.mask_ratio < 1.0):
             raise ConfigError(f"mask_ratio must lie in [0, 1), got {self.mask_ratio}")
         if self.context_len < 2:

@@ -20,11 +20,6 @@ def _pair(pred, truth) -> tuple[np.ndarray, np.ndarray]:
     return pred, truth
 
 
-def mae(pred, truth) -> float:
-    pred, truth = _pair(pred, truth)
-    return float(np.abs(pred - truth).mean())
-
-
 def mse(pred, truth) -> float:
     pred, truth = _pair(pred, truth)
     return float(((pred - truth) ** 2).mean())

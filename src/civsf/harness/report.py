@@ -94,18 +94,6 @@ def write_log(path: str, records, config_hash: str, seed: int) -> None:
             fh.write(f"{r.epoch},{r.phase},{r.framework},{r.loss:.10g},{r.seconds:.3f}\n")
 
 
-def read_log(path: str) -> list[tuple[int, str, str, float, float]]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("epoch,"):
-                continue
-            epoch, phase, framework, loss, seconds = line.split(",")
-            out.append((int(epoch), phase, framework, float(loss), float(seconds)))
-    return out
-
-
 # -- published reference numbers ---------------------------------------------------
 
 def render_reference_tables() -> list[ReportTable]:

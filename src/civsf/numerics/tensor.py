@@ -303,23 +303,6 @@ class Tensor:
 
     # -- pointwise nonlinearities ------------------------------------------------
 
-    def exp(self) -> Tensor:
-        a = self
-        out_data = np.exp(a.data)
-
-        def bwd(g):
-            return (g * out_data,)
-
-        return Tensor._make(out_data, (a,), bwd)
-
-    def log(self) -> Tensor:
-        a = self
-
-        def bwd(g):
-            return (g / a.data,)
-
-        return Tensor._make(np.log(a.data), (a,), bwd)
-
     def tanh(self) -> Tensor:
         a = self
         out_data = np.tanh(a.data)

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from civsf.datamodel import Instance, Sample, build_instances, context_windows, split
+from civsf.datamodel import (Instance, Sample, build_instances, context_windows, split,
+                             stack_windows)
 from civsf.encoders import patchify, unpatchify
 from civsf.errors import CompatibilityError, DomainError, NumericError
 from civsf.harness.config import Config
@@ -123,36 +124,17 @@ def _cap(items: list, cap: int, stream: RngStream, label: str) -> list:
     return items
 
 
-def _start_doy(samples: list[Sample], idxs) -> int:
-    starts = {int(samples[i].start_doy) for i in idxs}
-    if len(starts) != 1:
-        raise DomainError(f"mixed start_doy values across fine-tune items: {sorted(starts)}")
-    return starts.pop()
-
-
 def windows_of(samples: list[Sample], idxs, length: int) -> list[tuple[int, int]]:
     """Every (sample, start) window of the given length in the listed samples."""
     return [(si, s) for si in idxs for s in context_windows(samples[si], length)]
 
 
-def _window_arrays(samples, windows, length):
-    imgs = np.stack([samples[si].images[s:s + length] for si, s in windows])
-    doys = np.stack([samples[si].doys[s:s + length] for si, s in windows])
-    return imgs, doys
-
-
-def _embed_windows(model: FrameworkModel, samples, windows, length, cfg,
-                   images: np.ndarray | None = None) -> np.ndarray:
-    """Chunked frozen encode of windows -> Emb_STW (N, T, G, D); images, when
-    given, replace the windows' own images."""
+def _embed_windows(model: FrameworkModel, samples, windows, length, cfg) -> np.ndarray:
+    """Chunked frozen encode of windows -> Emb_STW (N, T, G, D)."""
     out = []
     for lo in range(0, len(windows), cfg.ft_batch):
-        chunk = windows[lo:lo + cfg.ft_batch]
-        imgs, doys = _window_arrays(samples, chunk, length)
-        if images is not None:
-            imgs = images[lo:lo + cfg.ft_batch]
-        wx = np.stack([samples[si].weather for si, _ in chunk])
-        emb, _ = model.frozen_encode(imgs, doys, wx, _start_doy(samples, [si for si, _ in chunk]))
+        imgs, doys, wx, start = stack_windows(samples, windows[lo:lo + cfg.ft_batch], length)
+        emb, _ = model.frozen_encode(imgs, doys, wx, start)
         out.append(emb.data)
     return np.concatenate(out)
 
@@ -232,13 +214,18 @@ def finetune_missing(model: FrameworkModel, samples: list[Sample], cfg: Config,
         raise DomainError("missing-image fine-tune has empty train or eval windows")
 
     def prepare(windows, label):
-        imgs, _ = _window_arrays(samples, windows, c)
+        """Embeddings of the corrupted series and clean truth patches at the
+        two hit steps of each window, (N, 2, G, D) and (N, 2, G, P)."""
         rng = stream.generator(f"ft/missing/corrupt/{label}")
-        corrupted, t_hit, _ = corrupt_series(imgs, model.enc.patch, cfg.missing_pct, rng)
-        emb = _embed_windows(model, samples, windows, c, cfg, images=corrupted)
-        truth = patchify(imgs, model.enc.patch)          # clean targets (N, C, G, P)
-        rows = np.arange(len(windows))[:, None]
-        return emb[rows, t_hit], truth[rows, t_hit]      # hit steps (N, 2, G, D/P)
+        hits, truths = [], []
+        for lo in range(0, len(windows), cfg.ft_batch):
+            imgs, doys, wx, start = stack_windows(samples, windows[lo:lo + cfg.ft_batch], c)
+            corrupted, t_hit, _ = corrupt_series(imgs, model.enc.patch, cfg.missing_pct, rng)
+            emb, _ = model.frozen_encode(corrupted, doys, wx, start)
+            rows = np.arange(len(imgs))[:, None]
+            hits.append(emb.data[rows, t_hit])
+            truths.append(patchify(imgs, model.enc.patch)[rows, t_hit])
+        return np.concatenate(hits), np.concatenate(truths)
 
     hit_tr, truth_tr = prepare(tr_windows, "train")
     hit_te, truth_te = prepare(te_windows, "eval")
@@ -275,15 +262,12 @@ def instance_pools(samples, cfg, stream, task) -> tuple[list[Instance], list[Ins
 def _instance_batches(samples, insts: list[Instance], cfg: Config):
     """ft_batch chunks of instances as (chunk, context images, context doys,
     weather, start doy, target doys)."""
-    c = cfg.context_len
     for lo in range(0, len(insts), cfg.ft_batch):
         chunk = insts[lo:lo + cfg.ft_batch]
-        ss = [samples[i.sample_idx] for i in chunk]
-        imgs = np.stack([s.images[i.start:i.start + c] for s, i in zip(ss, chunk)])
-        doys = np.stack([s.doys[i.start:i.start + c] for s, i in zip(ss, chunk)])
-        wx = np.stack([s.weather for s in ss])
-        tgt_doy = np.array([int(s.doys[i.target]) for s, i in zip(ss, chunk)])
-        yield chunk, imgs, doys, wx, _start_doy(samples, [i.sample_idx for i in chunk]), tgt_doy
+        imgs, doys, wx, start = stack_windows(
+            samples, [(i.sample_idx, i.start) for i in chunk], cfg.context_len)
+        tgt_doy = np.array([int(samples[i.sample_idx].doys[i.target]) for i in chunk])
+        yield chunk, imgs, doys, wx, start, tgt_doy
 
 
 def forecast_cache(model: FrameworkModel, samples, insts: list[Instance],

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from civsf.datamodel import Instance, Sample, build_instances, context_windows
+from civsf.datamodel import Instance, Sample, build_instances, context_windows, stack_windows
 from civsf.encoders import WeatherEncoder, patchify
-from civsf.errors import CompatibilityError, DomainError, NumericError, ShapeError
+from civsf.errors import CompatibilityError, DomainError, NumericError
 from civsf.forecast_decode import forecast_embed, repopulate
 from civsf.fusion import causal_temporal_encode
 from civsf.harness.checkpoint import load_checkpoint, save_checkpoint
@@ -75,25 +75,23 @@ def phase2_window_pool(samples: list[Sample], cfg: Config) -> list[list[Instance
     return pool
 
 
-def epoch_selection(n: int, cap: int, stream: RngStream, label: str) -> np.ndarray:
-    perm = stream.generator(label).permutation(n)
-    return perm[:cap] if cap else perm
+def _reordered(phase: str, cap: str | None):
+    """Epoch items of a phase: its pool in an order drawn from
+    '<phase>/epoch<e>/order', cut to the Config field cap (None or a zero
+    cap keeps the whole pool)."""
+    def items(pool: list, cfg: Config, stream: RngStream, epoch: int) -> list:
+        perm = stream.generator(f"{phase}/epoch{epoch}/order").permutation(len(pool))
+        n = getattr(cfg, cap) if cap else 0
+        return [pool[i] for i in (perm[:n] if n else perm)]
+    return items
 
 
 def phase2_epoch_instances(pool: list[list[Instance]], cfg: Config,
                            stream: RngStream, epoch: int) -> list[Instance]:
     """One instance per selected window, horizon K drawn fresh this epoch."""
-    take = epoch_selection(len(pool), cfg.instances_per_epoch, stream,
-                           f"2/epoch{epoch}/order")
+    windows = _reordered("2", "instances_per_epoch")(pool, cfg, stream, epoch)
     g = stream.generator(f"2/epoch{epoch}/horizon")
-    return [pool[i][int(g.integers(len(pool[i])))] for i in take]
-
-
-def _common_start(samples: list[Sample], idxs) -> int:
-    starts = {int(samples[i].start_doy) for i in idxs}
-    if len(starts) != 1:
-        raise ShapeError(f"mixed start_doy values in one batch: {sorted(starts)}")
-    return starts.pop()
+    return [w[int(g.integers(len(w)))] for w in windows]
 
 
 # -- per-batch losses --------------------------------------------------------
@@ -115,14 +113,11 @@ def _phase1a_batch(model: FrameworkModel, samples, rows, cfg: Config, rng):
     tokens = model.vit(sel[:, None].astype(model.dtype), kept[:, None])
     tokens = tokens.reshape(b, kept.shape[1], model.enc.hidden)
     pred = model.decoder(repopulate(tokens, kept, g))               # (B, G, P)
-    truth = patches
-    if cfg.loss_scope == "unmasked":
-        pred = pred[np.arange(b)[:, None], kept]
-        truth = sel
-    return ((pred - truth) ** 2).mean()
+    return ((pred - patches) ** 2).mean()
 
 
-def _phase1b_batch(model: FrameworkModel, wx: np.ndarray, cfg: Config, rng):
+def _phase1b_batch(model: FrameworkModel, samples, rows, cfg: Config, rng):
+    wx = np.stack([samples[si].weather for si in rows])
     b, length, _ = wx.shape
     mask = np.stack([build_weather_mask(length, cfg.weather_mask_ratio, rng)
                      for _ in range(b)])
@@ -133,18 +128,12 @@ def _phase1b_batch(model: FrameworkModel, wx: np.ndarray, cfg: Config, rng):
 
 def _phase1c_batch(model: FrameworkModel, samples, rows, cfg: Config, rng):
     c = cfg.context_len
-    imgs = np.stack([samples[si].images[s:s + c] for si, s in rows])
-    doys = np.stack([samples[si].doys[s:s + c] for si, s in rows])
-    start = _common_start(samples, [si for si, _ in rows])
+    imgs, doys, wx, start = stack_windows(samples, rows, c)
     b = len(rows)
     g = model.enc.grid
     plans = [build_mask(c, g, cfg.mask_ratio, rng) for _ in range(b)]
 
-    wx = None
-    weather_h = None
-    if model.weather is not None:
-        wx = np.stack([samples[si].weather for si, _ in rows])
-        weather_h = model.encode_weather(wx, steps=int(doys.max()) - start + 1)
+    weather_h = model.encode_weather(wx, steps=int(doys.max()) - start + 1)
     # the ViT sees every patch; the plans mask embeddings at the temporal stage
     patches = patchify(imgs, model.enc.patch)
     fused = model.fuse_series(patches, doys, weather_h, start, plans, mask_pixels=False)
@@ -152,13 +141,7 @@ def _phase1c_batch(model: FrameworkModel, samples, rows, cfg: Config, rng):
 
     grid_idx = np.stack([p.unmasked_patches for p in plans])       # (B, C, U)
     pred = model.decoder(repopulate(emb, grid_idx, g))             # (B, C, G, P)
-    truth = patches
-    if cfg.loss_scope == "unmasked":
-        bi = np.arange(b)[:, None, None]
-        ci = np.arange(c)[None, :, None]
-        pred = pred[bi, ci, grid_idx]
-        truth = np.take_along_axis(truth, grid_idx[..., None], axis=2)
-    loss = ((pred - truth) ** 2).mean()
+    loss = ((pred - patches) ** 2).mean()
 
     if model.wx_head is not None:
         # auxiliary recon of same-day weather from patch-pooled fused tokens
@@ -185,16 +168,11 @@ def _phase2_batch(model: FrameworkModel, samples, insts: list[Instance],
     c = cfg.context_len
     b = len(insts)
     g = model.enc.grid
-    imgs = np.stack([samples[i.sample_idx].images[i.start:i.start + c] for i in insts])
-    doys = np.stack([samples[i.sample_idx].doys[i.start:i.start + c] for i in insts])
+    imgs, doys, wx, start = stack_windows(samples, [(i.sample_idx, i.start) for i in insts], c)
     tgt_doy = np.array([int(samples[i.sample_idx].doys[i.target]) for i in insts])
-    start = _common_start(samples, [i.sample_idx for i in insts])
     plans = [build_mask(c, g, cfg.mask_ratio, rng) for _ in range(b)]
 
-    weather_h = None
-    if model.weather is not None:
-        wx = np.stack([samples[i.sample_idx].weather for i in insts])
-        weather_h = model.encode_weather(wx, steps=int(tgt_doy.max()) - start + 1)
+    weather_h = model.encode_weather(wx, steps=int(tgt_doy.max()) - start + 1)
     emb = model.encode_series(imgs, doys, weather_h, start, plans, mask_pixels=True)
 
     grid_idx = np.stack([p.unmasked_patches for p in plans])       # (B, C, U)
@@ -211,11 +189,7 @@ def _phase2_batch(model: FrameworkModel, samples, insts: list[Instance],
         femb = forecast_embed(model.forecaster, emb[:, i], w_t,
                               model.doy(step_doy), model.delta(step_doy - doys[:, i]))
         pred = model.decoder(repopulate(femb, grid_idx[:, i], g))  # (B, G, P)
-        truth = patchify(truth_imgs, model.enc.patch)
-        if cfg.loss_scope == "unmasked":
-            pred = pred[b_rows[:, None], grid_idx[:, i]]
-            truth = np.take_along_axis(truth, grid_idx[:, i][..., None], axis=1)
-        step_losses.append(((pred - truth) ** 2).mean())
+        step_losses.append(((pred - patchify(truth_imgs, model.enc.patch)) ** 2).mean())
     loss = step_losses[0]
     for term in step_losses[1:]:
         loss = loss + term
@@ -232,52 +206,39 @@ def _optim_step(opt, loss, phase: str, epoch: int) -> None:
     opt.step()
 
 
-def _mask_rng(stream: RngStream, cfg: Config, phase: str, epoch: int, step: int):
-    if cfg.mask_resample == "step":
-        return stream.generator(f"{phase}/epoch{epoch}/step{step}/mask")
-    return None  # caller keeps the per-epoch generator
+# phase -> (pool key, Config field of the batch size, epoch items, batch
+# loss); epoch items map (pool, cfg, stream, epoch) to the epoch's items
+PHASE_STEPS = {
+    "1a": ("images", "batch_size", _reordered("1a", "images_per_epoch"), _phase1a_batch),
+    "1b": ("samples", "batch_size", _reordered("1b", None), _phase1b_batch),
+    "1c": ("windows", "seq_batch_size", _reordered("1c", "instances_per_epoch"),
+           _phase1c_batch),
+    "2": ("phase2", "seq_batch_size", phase2_epoch_instances, _phase2_batch),
+}
 
 
 def run_epoch(phase: str, model: FrameworkModel, samples, pools, cfg: Config,
               stream: RngStream, opt, epoch: int) -> float:
-    if phase == "1a":
-        pool, batch, fn = pools["images"], cfg.batch_size, _phase1a_batch
-        cap = cfg.images_per_epoch
-    elif phase == "1b":
-        pool, batch, fn = pools["samples"], cfg.batch_size, _phase1b_batch
-        cap = 0
-    elif phase == "1c":
-        pool, batch, fn = pools["windows"], cfg.seq_batch_size, _phase1c_batch
-        cap = cfg.instances_per_epoch
-    elif phase == "2":
-        pool, batch, fn = pools["phase2"], cfg.seq_batch_size, _phase2_batch
-        cap = cfg.instances_per_epoch
-    else:
+    """One epoch of a phase: its items in batches, one optimizer step per
+    batch, every mask drawn from '<phase>/epoch<e>/mask'. Returns the mean
+    item loss."""
+    if phase not in PHASE_STEPS:
         raise DomainError(f"unknown phase '{phase}'")
+    pool_key, batch_field, items_of, batch_loss = PHASE_STEPS[phase]
+    pool = pools[pool_key]
     if not pool:
         raise DomainError(f"phase {phase} has no training items "
                           f"(context_len {cfg.context_len}, gaps [{cfg.gap_min}, {cfg.gap_max}])")
-
-    if phase == "2":
-        items = phase2_epoch_instances(pool, cfg, stream, epoch)
-    else:
-        take = epoch_selection(len(pool), cap, stream, f"{phase}/epoch{epoch}/order")
-        items = [pool[i] for i in take]
-
-    epoch_rng = stream.generator(f"{phase}/epoch{epoch}/mask")
-    total, seen = 0.0, 0
-    for k, lo in enumerate(range(0, len(items), batch)):
+    items = items_of(pool, cfg, stream, epoch)
+    batch = getattr(cfg, batch_field)
+    rng = stream.generator(f"{phase}/epoch{epoch}/mask")
+    total = 0.0
+    for lo in range(0, len(items), batch):
         chunk = items[lo:lo + batch]
-        rng = _mask_rng(stream, cfg, phase, epoch, k) or epoch_rng
-        if phase == "1b":
-            wx = np.stack([samples[si].weather for si in chunk])
-            loss = fn(model, wx, cfg, rng)
-        else:
-            loss = fn(model, samples, chunk, cfg, rng)
+        loss = batch_loss(model, samples, chunk, cfg, rng)
         _optim_step(opt, loss, phase, epoch)
         total += float(loss.data) * len(chunk)
-        seen += len(chunk)
-    return total / seen
+    return total / len(items)
 
 
 # -- checkpointing and the runner ----------------------------------------------

@@ -11,9 +11,10 @@ from civsf.datamodel import (
     load_container,
     save_container,
     split,
+    stack_windows,
     validate,
 )
-from civsf.errors import ConfigError, DataFormatError, DomainError
+from civsf.errors import ConfigError, DataFormatError, DomainError, ShapeError
 
 
 def make_sample(t=4, side=16, length=120, start_doy=1, soil=True, crops=True,
@@ -170,8 +171,6 @@ def test_build_instances_matches_brute_force():
             if j > last and lo <= gap <= hi:
                 want.append((7, start, c, j, gap))
     assert [(i.sample_idx, i.start, i.length, i.target, i.delta) for i in got] == want
-    for inst in got:
-        assert np.array_equal(inst.context, np.arange(inst.start, inst.start + c))
 
 
 def test_instances_delta_is_doy_arithmetic():
@@ -203,6 +202,24 @@ def test_context_windows_counts():
     assert context_windows(s, 3) == [0, 1, 2]
     assert context_windows(s, 5) == [0]
     assert context_windows(s, 6) == []
+
+
+def test_stack_windows_gathers_rows_in_order():
+    a, b = make_sample(t=5, seed=1), make_sample(t=5, seed=2)
+    imgs, doys, wx, start = stack_windows([a, b], [(1, 2), (0, 0), (1, 0)], 3)
+    assert imgs.shape == (3, 3, 6, 16, 16) and doys.shape == (3, 3)
+    assert wx.shape == (3, 120, 5) and start == 1
+    for row, (s, t) in enumerate([(b, 2), (a, 0), (b, 0)]):
+        assert np.array_equal(imgs[row], s.images[t:t + 3])
+        assert np.array_equal(doys[row], s.doys[t:t + 3])
+        assert np.array_equal(wx[row], s.weather)
+
+
+def test_stack_windows_rejects_mixed_start_and_weather_length():
+    with pytest.raises(ShapeError, match="start_doy"):
+        stack_windows([make_sample(), make_sample(start_doy=5)], [(0, 0), (1, 0)], 2)
+    with pytest.raises(ShapeError, match="weather lengths"):
+        stack_windows([make_sample(), make_sample(length=130)], [(0, 0), (1, 0)], 2)
 
 
 # -- split -------------------------------------------------------------------------
@@ -237,16 +254,6 @@ def test_split_rejects_bad_fractions():
 
 
 # -- sample accessors ---------------------------------------------------------------
-
-
-def test_day_index_maps_doys():
-    s = make_sample(start_doy=10, length=50)
-    assert s.day_index(10) == 0
-    assert s.day_index(59) == 49
-    with pytest.raises(DomainError):
-        s.day_index(9)
-    with pytest.raises(DomainError):
-        s.day_index(60)
 
 
 def test_instance_is_hashable_and_frozen():

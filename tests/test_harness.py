@@ -17,7 +17,6 @@ from civsf.harness.metrics import (
     bucket_means,
     bucketize,
     macro_f1,
-    mae,
     mse,
 )
 from civsf.harness.ppm import compose, read_ppm, stretch, write_ppm
@@ -25,7 +24,6 @@ from civsf.harness.report import (
     REFERENCE_LABEL,
     ReportTable,
     from_metrics,
-    read_log,
     render_reference_tables,
     write_log,
 )
@@ -49,10 +47,12 @@ def test_config_defaults_and_hash():
 def test_config_validation():
     with pytest.raises(ConfigError, match="framework"):
         Config(framework="vit")
-    with pytest.raises(ConfigError, match="mask_resample"):
-        Config(mask_resample="never")
-    with pytest.raises(ConfigError, match="loss_scope"):
-        Config(loss_scope="masked")
+    for name in ("batch_size", "seq_batch_size", "ft_batch"):
+        with pytest.raises(ConfigError, match=f"{name} must be >= 1, got 0"):
+            Config(**{name: 0})
+        with pytest.raises(ConfigError, match=name):
+            Config(**{name: -3})
+        assert getattr(Config(**{name: 1}), name) == 1
     with pytest.raises(ConfigError, match="mask_ratio"):
         Config(mask_ratio=1.0)
     with pytest.raises(ConfigError, match="context_len"):
@@ -87,8 +87,8 @@ def test_config_pair_coercion():
         config_mod.parse_pairs({"hidden": "large"})
     with pytest.raises(ConfigError, match="not float"):
         config_mod.parse_pairs({"mask_ratio": "half"})
-    got = config_mod.parse_pairs({"hidden": " 48 ", "loss_scope": "unmasked"})
-    assert got == {"hidden": 48, "loss_scope": "unmasked"}
+    got = config_mod.parse_pairs({"hidden": " 48 ", "framework": " sm-vsf "})
+    assert got == {"hidden": 48, "framework": "sm-vsf"}
 
 
 # -- checkpoint container ------------------------------------------------------------
@@ -209,11 +209,10 @@ def test_checkpoint_rejects_bad_metadata(tmp_path):
 # -- metrics -------------------------------------------------------------------------
 
 
-def test_mae_mse_values_and_errors():
-    assert mae([1.0, 2.0], [2.0, 4.0]) == 1.5
+def test_mse_values_and_errors():
     assert mse([1.0, 2.0], [2.0, 4.0]) == 2.5
     with pytest.raises(ShapeError):
-        mae([1.0], [1.0, 2.0])
+        mse([1.0], [1.0, 2.0])
     with pytest.raises(DomainError):
         mse([], [])
 
@@ -298,9 +297,8 @@ def test_log_roundtrip(tmp_path):
     write_log(path, records, "deadbeef0123", 9)
     text = open(path).read()
     assert text.startswith("# config: deadbeef0123\n# seed: 9\n")
-    assert "epoch,phase,framework,loss,seconds" in text
-    back = read_log(path)
-    assert back == [(0, "1a", "ci-vsf", 0.5, 1.0), (1, "2", "ci-vsf", 0.25, 2.5)]
+    assert text.splitlines()[2:] == ["epoch,phase,framework,loss,seconds",
+                                     "0,1a,ci-vsf,0.5,1.000", "1,2,ci-vsf,0.25,2.500"]
 
 
 def test_reference_tables_pin_published_cells():
@@ -420,8 +418,8 @@ def test_cli_pipeline_artifacts(cli_dir, capsys):
     import os
     assert os.path.exists(cli_dir["data"])
     assert os.path.exists(cli_dir["ci"]) and os.path.exists(cli_dir["mr"])
-    rows = read_log(cli_dir["log"])
-    assert [r[1] for r in rows] == ["1a", "1b", "1c", "2"]
+    rows = open(cli_dir["log"]).read().splitlines()[3:]
+    assert [r.split(",")[1] for r in rows] == ["1a", "1b", "1c", "2"]
     capsys.readouterr()
 
     ft_out = str(cli_dir["root"] / "ft")
@@ -532,6 +530,29 @@ def test_cli_data_errors(cli_dir, capsys):
                 "--sample", "99", "--start", "0", "--target-doy", "150",
                 "--out", "/tmp/x.ppm"]) == 3
     capsys.readouterr()
+
+
+def test_cli_zero_batch_sizes_exit_2(cli_dir, capsys):
+    out = str(cli_dir["root"] / "zero-batch")
+    for kv in ("batch_size=0", "seq_batch_size=0"):
+        assert cli(["pretrain", "--data", cli_dir["data"], "--out", out]
+                   + sets([kv])) == 2
+        assert "must be >= 1" in capsys.readouterr().err
+    assert cli(["finetune", "--data", cli_dir["data"], "--ckpt", cli_dir["ci"],
+                "--task", "missing", "--set", "ft_batch=0"]) == 2
+    assert "ft_batch must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_io_errors_exit_3(cli_dir, capsys):
+    plain = cli_dir["root"] / "plain-file"
+    plain.write_text("not a directory\n")
+    assert cli(["pretrain", "--data", cli_dir["data"], "--out", f"{plain}/sub"]
+               + sets()) == 3
+    assert "Not a directory" in capsys.readouterr().err
+    assert cli(["forecast", "--data", cli_dir["data"], "--ckpt", cli_dir["ci"],
+                "--sample", "0", "--start", "0", "--target-doy", "150",
+                "--out", f"{plain}/fc.ppm"]) == 3
+    assert "data error" in capsys.readouterr().err
 
 
 def test_cli_gradcheck_exit_codes(capsys):

@@ -181,8 +181,7 @@ def test_two_layer_net_matches_central_differences():
         assert np.max(np.abs(p.grad - num) / denom) <= 1e-4
 
 
-@pytest.mark.parametrize("op", ["sigmoid", "relu", "abs", "exp", "log_shifted",
-                                "softmax", "layernorm", "mean_axis", "getitem",
+@pytest.mark.parametrize("op", ["sigmoid", "relu", "abs", "softmax", "layernorm", "mean_axis", "getitem",
                                 "put", "pad2d", "stack", "pow"])
 def test_elementwise_and_structural_ops_gradcheck(op):
     rng = np.random.default_rng(hash(op) % 2**32)
@@ -198,10 +197,6 @@ def test_elementwise_and_structural_ops_gradcheck(op):
             out = t.relu()
         elif op == "abs":
             out = t.abs()
-        elif op == "exp":
-            out = (t * 0.3).exp()
-        elif op == "log_shifted":
-            out = (t * t + 1.0).log()
         elif op == "softmax":
             out = softmax(t, axis=-1) * Tensor(np.arange(4.0))
         elif op == "layernorm":

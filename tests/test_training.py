@@ -165,8 +165,7 @@ def test_each_phase_loss_finite_and_backpropagates(tiny_world):
     rng = RngStream(1).generator("t/mask")
 
     l1a = _phase1a_batch(model, tiny_world, [(0, 0), (1, 2)], cfg, rng)
-    wx = np.stack([tiny_world[0].weather, tiny_world[1].weather])
-    l1b = _phase1b_batch(model, wx, cfg, rng)
+    l1b = _phase1b_batch(model, tiny_world, [0, 1], cfg, rng)
     l1c = _phase1c_batch(model, tiny_world, [(0, 0), (1, 1)], cfg, rng)
     pool = phase2_window_pool(tiny_world, cfg)
     insts = [pool[0][0], pool[1][0]]
