@@ -157,7 +157,8 @@ def cmd_evaluate(args) -> int:
 
     if model.forecaster is not None:
         _, insts = ft.instance_pools(samples, cfg, stream, "eval")
-        femb, truth, deltas = ft.forecast_cache(model, samples, insts, cfg)
+        states = ft.weather_states(model, samples, [i.sample_idx for i in insts], cfg)
+        femb, truth, deltas = ft.forecast_cache(model, samples, states, insts, cfg)
         table = report.ReportTable("Forecast MSE on test-split instances (no fine-tune)",
                                    "MSE", (model.kind,),
                                    {"config": cfg.hash(), "seed": str(cfg.seed)})
@@ -182,7 +183,9 @@ def cmd_forecast(args) -> int:
     if model.forecaster is None:
         raise CompatibilityError(f"forecast needs a *-VSF checkpoint, got '{model.kind}'")
     imgs, doys, wx, start = stack_windows(samples, [(args.sample, args.start)], c)
-    femb = model.frozen_forecast(imgs, doys, wx, start, np.array([args.target_doy]))
+    # the weather runs only up to the target day
+    weather_h = model.frozen_weather(wx, steps=args.target_doy - start + 1)
+    femb = model.frozen_forecast(imgs, doys, weather_h, start, np.array([args.target_doy]))
     with no_grad():
         patches = model.decoder(Tensor(femb)).data
     img = unpatchify(patches[0], model.enc.side, model.enc.patch)

@@ -6,7 +6,6 @@ from civsf.numerics.tensor import (
     pad2d,
     put,
     softmax,
-    stack,
 )
 from civsf.numerics import nn, optim
 from civsf.numerics.gradcheck import grad_check
@@ -14,5 +13,5 @@ from civsf.numerics.rng import RngStream
 
 __all__ = [
     "Tensor", "collect_grads", "log_softmax", "no_grad", "pad2d",
-    "put", "softmax", "stack", "nn", "optim", "grad_check", "RngStream",
+    "put", "softmax", "nn", "optim", "grad_check", "RngStream",
 ]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from civsf.errors import NumericError
-from civsf.numerics.tensor import Tensor, collect_grads
+from civsf.numerics.tensor import Tensor, collect_grads, no_grad
 
 
 def grad_check(loss_fn, params: list[tuple[str, Tensor]], epsilon: float = 1e-5,
@@ -39,24 +39,25 @@ def grad_check(loss_fn, params: list[tuple[str, Tensor]], epsilon: float = 1e-5,
     analytic = collect_grads(params)
 
     worst = 0.0
-    for name, p in params:
-        flat = p.data.reshape(-1)
-        size = flat.size
-        if max_coords_per_param is not None and size > max_coords_per_param:
-            coords = rng.choice(size, size=max_coords_per_param, replace=False)
-        else:
-            coords = np.arange(size)
-        a_flat = analytic[name].reshape(-1)
-        for i in coords:
-            saved = flat[i]
-            flat[i] = saved + epsilon
-            hi = evaluate().item()
-            flat[i] = saved - epsilon
-            lo = evaluate().item()
-            flat[i] = saved
-            numeric = (hi - lo) / (2.0 * epsilon)
-            a = float(a_flat[i])
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            if err > worst:
-                worst = err
+    with no_grad():                     # the central differences need loss values only
+        for name, p in params:
+            flat = p.data.reshape(-1)
+            size = flat.size
+            if max_coords_per_param is not None and size > max_coords_per_param:
+                coords = rng.choice(size, size=max_coords_per_param, replace=False)
+            else:
+                coords = np.arange(size)
+            a_flat = analytic[name].reshape(-1)
+            for i in coords:
+                saved = flat[i]
+                flat[i] = saved + epsilon
+                hi = evaluate().item()
+                flat[i] = saved - epsilon
+                lo = evaluate().item()
+                flat[i] = saved
+                numeric = (hi - lo) / (2.0 * epsilon)
+                a = float(a_flat[i])
+                err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+                if err > worst:
+                    worst = err
     return worst

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from civsf.errors import ShapeError
-from civsf.numerics.tensor import Tensor, pad2d, softmax, stack
+from civsf.numerics.tensor import Tensor, pad2d, softmax
 
 
 def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...],
@@ -157,6 +157,13 @@ class Lstm(Module):
     Forget-gate bias starts at 1.0 so early training keeps long memories.
     Input is a plain ndarray: the recurrence only differentiates parameters
     and hidden state, never the driving sequence.
+
+    The whole sequence is one autodiff node whose parents are wx, wh and b:
+    the forward runs the recurrence in plain numpy and keeps each step's
+    gates, and the backward is backpropagation through time written out by
+    hand. Both use the operations, in the order, that the step-by-step graph
+    of matmuls, slices, sigmoids and products would use, so outputs and
+    gradients are bitwise those of that graph.
     """
 
     def __init__(self, d_in: int, d_hidden: int, rng: np.random.Generator, dtype=np.float32):
@@ -176,20 +183,56 @@ class Lstm(Module):
         n, length, _ = x.shape
         run = length if steps is None else min(steps, length)
         hd = self.d_hidden
-        h = Tensor(np.zeros((n, hd), dtype=self.dtype))
-        c = Tensor(np.zeros((n, hd), dtype=self.dtype))
-        outputs = []
+        wx, wh, b = self.wx.data, self.wh.data, self.b.data
+        h = np.zeros((n, hd), dtype=self.dtype)
+        c = np.zeros((n, hd), dtype=self.dtype)
+        out = np.empty((n, run, hd), dtype=self.dtype)
+        # per step: input, previous h and c, sigmoid gates, cell gate, tanh(c)
+        xs, hs, cs, sig, cell, tcs = [], [], [], [], [], []
         for t in range(run):
-            xt = Tensor(np.ascontiguousarray(x[:, t], dtype=self.dtype))
-            z = xt @ self.wx + h @ self.wh + self.b
-            i = z[:, 0 * hd:1 * hd].sigmoid()
-            f = z[:, 1 * hd:2 * hd].sigmoid()
-            g = z[:, 2 * hd:3 * hd].tanh()
-            o = z[:, 3 * hd:4 * hd].sigmoid()
-            c = f * c + i * g
-            h = o * c.tanh()
-            outputs.append(h)
-        return stack(outputs, axis=1)
+            xt = np.ascontiguousarray(x[:, t], dtype=self.dtype)
+            z = xt @ wx + h @ wh + b
+            e = np.exp(-np.abs(z))          # exp of a negated magnitude never overflows
+            d = 1.0 + e
+            s = np.where(z >= 0, 1.0 / d, e / d)
+            g = np.tanh(z[:, 2 * hd:3 * hd])
+            xs.append(xt)
+            hs.append(h)
+            cs.append(c)
+            sig.append(s)
+            cell.append(g)
+            c = s[:, hd:2 * hd] * c + s[:, :hd] * g
+            tc = np.tanh(c)
+            tcs.append(tc)
+            h = s[:, 3 * hd:] * tc
+            out[:, t] = h
+
+        def bwd(gout):
+            dwx = dwh = db = dz = dc = None
+            for t in reversed(range(run)):
+                s, g, tc = sig[t], cell[t], tcs[t]
+                i, f, o = s[:, :hd], s[:, hd:2 * hd], s[:, 3 * hd:]
+                dh = gout[:, t]
+                if dz is not None:              # what step t + 1 passes back
+                    dh = dh + dz @ wh.swapaxes(-1, -2)
+                    dc = dh * o * (1.0 - tc * tc) + dc * sig[t + 1][:, hd:2 * hd]
+                else:
+                    dc = dh * o * (1.0 - tc * tc)
+                # each gate block of a zero array, as a slice's backward fills it
+                dz = np.zeros((n, 4 * hd), dtype=self.dtype)
+                dz[:, :hd] += dc * g * i * (1.0 - i)
+                dz[:, hd:2 * hd] += dc * cs[t] * f * (1.0 - f)
+                dz[:, 2 * hd:3 * hd] += dc * i * (1.0 - g * g)
+                dz[:, 3 * hd:] += dh * tc * o * (1.0 - o)
+                terms = (xs[t].swapaxes(-1, -2) @ dz, hs[t].swapaxes(-1, -2) @ dz,
+                         dz.sum(axis=0))
+                if dwx is None:
+                    dwx, dwh, db = terms
+                else:
+                    dwx, dwh, db = dwx + terms[0], dwh + terms[1], db + terms[2]
+            return dwx, dwh, db
+
+        return Tensor._make(out, (self.wx, self.wh, self.b), bwd)
 
 
 class Conv3x3(Module):

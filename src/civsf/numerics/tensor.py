@@ -3,7 +3,7 @@
 Design notes:
   - A Tensor wraps one ndarray. Ops build a DAG; Tensor.backward() runs a
     single reverse sweep over an iteratively computed postorder (recursion
-    would overflow on year-long recurrent chains).
+    would overflow on long chains of ops).
   - Nodes whose parents all have requires_grad=False are created as constants
     with no recorded parents, so constant subgraphs cost nothing at backward.
   - Each op records one closure mapping the upstream gradient to per-parent
@@ -312,18 +312,6 @@ class Tensor:
 
         return Tensor._make(out_data, (a,), bwd)
 
-    def sigmoid(self) -> Tensor:
-        a = self
-        # exp of a negated magnitude never overflows
-        out_data = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(a.data))),
-                            np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
-        out_data = out_data.astype(a.data.dtype, copy=False)
-
-        def bwd(g):
-            return (g * out_data * (1.0 - out_data),)
-
-        return Tensor._make(out_data, (a,), bwd)
-
     def relu(self) -> Tensor:
         a = self
         keep = a.data > 0
@@ -369,17 +357,6 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
         return (g - soft * g.sum(axis=axis, keepdims=True),)
 
     return Tensor._make(out_data, (x,), bwd)
-
-
-def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    parents = tuple(tensors)
-    out_data = np.stack([t.data for t in parents], axis=axis)
-
-    def bwd(g):
-        moved = np.moveaxis(g, axis, 0)
-        return tuple(moved[i] for i in range(len(parents)))
-
-    return Tensor._make(out_data, parents, bwd)
 
 
 def put(values: Tensor, idx, shape: tuple[int, ...]) -> Tensor:

@@ -2,6 +2,8 @@
 
 Every procedure freezes the pretrained encoder, so the expensive encode runs
 once per dataset under no_grad and heads train against cached embeddings.
+The weather LSTM runs once per location and fine-tune (weather_states);
+each window gathers its rows of those states.
 Forecast-flavored heads (soil forecast, future image) require a *-VSF
 checkpoint; reconstruction and estimation heads accept all four kinds.
 """
@@ -16,7 +18,7 @@ import numpy as np
 from civsf.datamodel import (Instance, Sample, build_instances, context_windows, split,
                              stack_windows)
 from civsf.encoders import patchify, unpatchify
-from civsf.errors import CompatibilityError, DomainError, NumericError
+from civsf.errors import CompatibilityError, DomainError, NumericError, ShapeError
 from civsf.harness.config import Config
 from civsf.harness.metrics import bucket_means, macro_f1, mse
 from civsf.numerics import RngStream, Tensor, log_softmax, nn, no_grad, optim, softmax
@@ -129,12 +131,39 @@ def windows_of(samples: list[Sample], idxs, length: int) -> list[tuple[int, int]
     return [(si, s) for si in idxs for s in context_windows(samples[si], length)]
 
 
-def _embed_windows(model: FrameworkModel, samples, windows, length, cfg) -> np.ndarray:
+def weather_states(model: FrameworkModel, samples: list[Sample], idxs, cfg: Config
+                   ) -> dict[int, np.ndarray] | None:
+    """Frozen weather states (L, D) of each listed sample's whole series, the
+    LSTM run once per sample in ft_batch chunks; None for kinds without
+    weather. A window's rows of these are bitwise the states of a run over
+    the windows themselves, because the recurrence is causal and, at the
+    geometries tests/test_numerics.py pins, row-invariant."""
+    if model.weather is None:
+        return None
+    idxs = sorted(set(idxs))
+    out = {}
+    for lo in range(0, len(idxs), cfg.ft_batch):
+        chunk = idxs[lo:lo + cfg.ft_batch]
+        spans = sorted({samples[si].weather.shape[0] for si in chunk})
+        if len(spans) != 1:
+            raise ShapeError(f"mixed weather lengths in one batch: {spans}")
+        out.update(zip(chunk, model.frozen_weather(np.stack([samples[si].weather
+                                                             for si in chunk]))))
+    return out
+
+
+def _window_states(states: dict[int, np.ndarray] | None, rows) -> np.ndarray | None:
+    """The weather states of each (sample, start) row's sample, (B, L, D)."""
+    return None if states is None else np.stack([states[si] for si, _ in rows])
+
+
+def _embed_windows(model: FrameworkModel, samples, states, windows, length, cfg) -> np.ndarray:
     """Chunked frozen encode of windows -> Emb_STW (N, T, G, D)."""
     out = []
     for lo in range(0, len(windows), cfg.ft_batch):
-        imgs, doys, wx, start = stack_windows(samples, windows[lo:lo + cfg.ft_batch], length)
-        emb, _ = model.frozen_encode(imgs, doys, wx, start)
+        rows = windows[lo:lo + cfg.ft_batch]
+        imgs, doys, _, start = stack_windows(samples, rows, length)
+        emb, _ = model.frozen_encode(imgs, doys, _window_states(states, rows), start)
         out.append(emb.data)
     return np.concatenate(out)
 
@@ -213,15 +242,18 @@ def finetune_missing(model: FrameworkModel, samples: list[Sample], cfg: Config,
     if not tr_windows or not te_windows:
         raise DomainError("missing-image fine-tune has empty train or eval windows")
 
+    states = weather_states(model, samples, [si for si, _ in tr_windows + te_windows], cfg)
+
     def prepare(windows, label):
         """Embeddings of the corrupted series and clean truth patches at the
         two hit steps of each window, (N, 2, G, D) and (N, 2, G, P)."""
         rng = stream.generator(f"ft/missing/corrupt/{label}")
         hits, truths = [], []
         for lo in range(0, len(windows), cfg.ft_batch):
-            imgs, doys, wx, start = stack_windows(samples, windows[lo:lo + cfg.ft_batch], c)
+            chunk = windows[lo:lo + cfg.ft_batch]
+            imgs, doys, _, start = stack_windows(samples, chunk, c)
             corrupted, t_hit, _ = corrupt_series(imgs, model.enc.patch, cfg.missing_pct, rng)
-            emb, _ = model.frozen_encode(corrupted, doys, wx, start)
+            emb, _ = model.frozen_encode(corrupted, doys, _window_states(states, chunk), start)
             rows = np.arange(len(imgs))[:, None]
             hits.append(emb.data[rows, t_hit])
             truths.append(patchify(imgs, model.enc.patch)[rows, t_hit])
@@ -259,26 +291,28 @@ def instance_pools(samples, cfg, stream, task) -> tuple[list[Instance], list[Ins
     return tr, te
 
 
-def _instance_batches(samples, insts: list[Instance], cfg: Config):
+def _instance_batches(samples, states, insts: list[Instance], cfg: Config):
     """ft_batch chunks of instances as (chunk, context images, context doys,
-    weather, start doy, target doys)."""
+    weather states, start doy, target doys)."""
     for lo in range(0, len(insts), cfg.ft_batch):
         chunk = insts[lo:lo + cfg.ft_batch]
-        imgs, doys, wx, start = stack_windows(
-            samples, [(i.sample_idx, i.start) for i in chunk], cfg.context_len)
+        rows = [(i.sample_idx, i.start) for i in chunk]
+        imgs, doys, _, start = stack_windows(samples, rows, cfg.context_len)
         tgt_doy = np.array([int(samples[i.sample_idx].doys[i.target]) for i in chunk])
-        yield chunk, imgs, doys, wx, start, tgt_doy
+        yield chunk, imgs, doys, _window_states(states, rows), start, tgt_doy
 
 
-def forecast_cache(model: FrameworkModel, samples, insts: list[Instance],
+def forecast_cache(model: FrameworkModel, samples, states, insts: list[Instance],
                    cfg: Config) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frozen forecast embeddings for each instance's final (K-step) target.
+    """Frozen forecast embeddings for each instance's final (K-step) target,
+    given the weather_states of the instances' samples.
 
     Returns (femb (N, G, D), truth patches (N, G, P), deltas (N,)).
     """
     fembs, truths, deltas = [], [], []
-    for chunk, imgs, doys, wx, start, tgt_doy in _instance_batches(samples, insts, cfg):
-        fembs.append(model.frozen_forecast(imgs, doys, wx, start, tgt_doy))
+    for chunk, imgs, doys, weather_h, start, tgt_doy in _instance_batches(
+            samples, states, insts, cfg):
+        fembs.append(model.frozen_forecast(imgs, doys, weather_h, start, tgt_doy))
         tgt_img = np.stack([samples[i.sample_idx].images[i.target] for i in chunk])
         truths.append(patchify(tgt_img, model.enc.patch))
         deltas.append(tgt_doy - doys[:, -1])
@@ -298,8 +332,9 @@ def finetune_future_image(model: FrameworkModel, samples: list[Sample], cfg: Con
     _require_vsf(model, "future-image")
     stream = RngStream(seed)
     tr, te = instance_pools(samples, cfg, stream, "future")
-    femb_tr, truth_tr, _ = forecast_cache(model, samples, tr, cfg)
-    femb_te, truth_te, delta_te = forecast_cache(model, samples, te, cfg)
+    states = weather_states(model, samples, [i.sample_idx for i in tr + te], cfg)
+    femb_tr, truth_tr, _ = forecast_cache(model, samples, states, tr, cfg)
+    femb_te, truth_te, delta_te = forecast_cache(model, samples, states, te, cfg)
 
     model.decoder.reinit(stream.generator("ft/future/reinit"))
     opt = optim.Adam(model.decoder.named_parameters(), lr=cfg.ft_lr)
@@ -312,15 +347,16 @@ def finetune_future_image(model: FrameworkModel, samples: list[Sample], cfg: Con
 
 # -- soil-moisture forecasting ------------------------------------------------------
 
-def _soil_cache(model: FrameworkModel, samples, insts: list[Instance], cfg: Config):
+def _soil_cache(model: FrameworkModel, samples, states, insts: list[Instance], cfg: Config):
     """Frozen constants for the soil head: z_const (N, D), soil context
     series (N, C), targets (N,), deltas (N,)."""
     if any(samples[i.sample_idx].soil is None for i in insts):
         raise DomainError("soil fine-tune needs samples with a soil series")
     c = cfg.context_len
     z_out, soils, targets, deltas = [], [], [], []
-    for chunk, imgs, doys, wx, start, tgt_doy in _instance_batches(samples, insts, cfg):
-        emb, w_t = model.frozen_encode(imgs, doys, wx, start, tgt_doy)
+    for chunk, imgs, doys, weather_h, start, tgt_doy in _instance_batches(
+            samples, states, insts, cfg):
+        emb, w_t = model.frozen_encode(imgs, doys, weather_h, start, tgt_doy)
         with no_grad():
             z = emb[:, -1].mean(axis=1) + model.doy(tgt_doy) \
                 + model.delta(tgt_doy - doys[:, -1])
@@ -341,8 +377,9 @@ def finetune_soil_forecast(model: FrameworkModel, samples: list[Sample], cfg: Co
     _require_vsf(model, "soil forecast")
     stream = RngStream(seed)
     tr, te = instance_pools(samples, cfg, stream, "soil")
-    z_tr, soil_tr, y_tr, _ = _soil_cache(model, samples, tr, cfg)
-    z_te, soil_te, y_te, delta_te = _soil_cache(model, samples, te, cfg)
+    states = weather_states(model, samples, [i.sample_idx for i in tr + te], cfg)
+    z_tr, soil_tr, y_tr, _ = _soil_cache(model, samples, states, tr, cfg)
+    z_te, soil_te, y_te, delta_te = _soil_cache(model, samples, states, te, cfg)
 
     head = SoilForecastHead(model.enc.hidden, stream.generator("ft/soil/init"))
     opt = optim.adamw(head.named_parameters(), lr=cfg.ft_lr)
@@ -362,12 +399,12 @@ def region_of(sample_idx: int, n_regions: int) -> int:
     return sample_idx % n_regions
 
 
-def _estimate_cache(model, samples, windows, cfg):
+def _estimate_cache(model, samples, states, windows, cfg):
     c = cfg.context_len
     for si, _ in windows:
         if samples[si].soil is None:
             raise DomainError("estimation fine-tune needs samples with a soil series")
-    emb = _embed_windows(model, samples, windows, c, cfg)
+    emb = _embed_windows(model, samples, states, windows, c, cfg)
     pooled = emb.mean(axis=2)                                   # (N, C, D)
     truth = np.stack([samples[si].soil[s:s + c] for si, s in windows])
     return pooled, truth.astype(np.float32)
@@ -383,25 +420,30 @@ def finetune_estimate(model: FrameworkModel, samples: list[Sample], cfg: Config,
     stream = RngStream(seed)
     regions = [region_of(i, cfg.world_regions) for i in range(len(samples))]
     if protocol == "in-region":
-        folds = [("in", "", *_split_idx(samples, cfg))]
+        splits = [("in", "", *_split_idx(samples, cfg))]
     else:
-        folds = [(f"x{r}", str(r), [i for i, g in enumerate(regions) if g != r],
-                  [i for i, g in enumerate(regions) if g == r])
-                 for r in range(cfg.world_regions) if r in regions]
-        if not folds:
+        splits = [(f"x{r}", str(r), [i for i, g in enumerate(regions) if g != r],
+                   [i for i, g in enumerate(regions) if g == r])
+                  for r in range(cfg.world_regions) if r in regions]
+        if not splits:
             raise DomainError("cross-region estimation found no populated regions")
-
-    metrics: dict[str, float] = {}
-    losses: list[float] = []
-    for tag, suffix, tr_idx, te_idx in folds:
+    folds = []
+    for tag, suffix, tr_idx, te_idx in splits:
         tr_w = _cap(windows_of(samples, tr_idx, cfg.context_len), cfg.ft_max_train, stream,
                     f"ft/estimate/cap/train{suffix}")
         te_w = _cap(windows_of(samples, te_idx, cfg.context_len), cfg.ft_max_eval, stream,
                     f"ft/estimate/cap/eval{suffix}")
         if not tr_w or not te_w:
             raise DomainError("estimation fine-tune has empty train or eval windows")
-        pooled_tr, y_tr = _estimate_cache(model, samples, tr_w, cfg)
-        pooled_te, y_te = _estimate_cache(model, samples, te_w, cfg)
+        folds.append((tag, suffix, tr_w, te_w))
+    states = weather_states(model, samples,
+                            [si for *_, tr_w, te_w in folds for si, _ in tr_w + te_w], cfg)
+
+    metrics: dict[str, float] = {}
+    losses: list[float] = []
+    for tag, suffix, tr_w, te_w in folds:
+        pooled_tr, y_tr = _estimate_cache(model, samples, states, tr_w, cfg)
+        pooled_te, y_te = _estimate_cache(model, samples, states, te_w, cfg)
         head = EstimateHead(model.enc.hidden, stream.generator(f"ft/estimate/{tag}/init"))
         opt = optim.adamw(head.named_parameters(), lr=cfg.ft_lr)
         losses += _fit(opt, len(tr_w), cfg.ft_epochs_estimate, cfg, stream,
@@ -442,8 +484,9 @@ def finetune_crop(model: FrameworkModel, samples: list[Sample], cfg: Config,
     if not tr_w or not te_w:
         raise DomainError("crop fine-tune has empty train or eval windows")
 
-    emb_tr = _embed_windows(model, samples, tr_w, t_ft, cfg)
-    emb_te = _embed_windows(model, samples, te_w, t_ft, cfg)
+    states = weather_states(model, samples, [si for si, _ in tr_w + te_w], cfg)
+    emb_tr = _embed_windows(model, samples, states, tr_w, t_ft, cfg)
+    emb_te = _embed_windows(model, samples, states, te_w, t_ft, cfg)
     y_tr = np.stack([samples[si].crops for si, _ in tr_w])
     y_te = np.stack([samples[si].crops for si, _ in te_w])
 

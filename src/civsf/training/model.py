@@ -125,36 +125,49 @@ class FrameworkModel(nn.Module):
         return causal_temporal_encode(self.temporal, fused, plans,
                                       full_grid=not mask_pixels)
 
-    def frozen_encode(self, images: np.ndarray, doys: np.ndarray, weather: np.ndarray,
-                      start_doy: int, target_doys: np.ndarray | None = None
+    def frozen_weather(self, weather: np.ndarray, steps: int | None = None
+                       ) -> np.ndarray | None:
+        """No-grad weather states (B, L', D) of whole series (B, L, 5), from
+        their first day; L' = steps or L. None for kinds without weather."""
+        with no_grad():
+            h = self.encode_weather(weather, steps=steps)
+        return None if h is None else h.data
+
+    def frozen_encode(self, images: np.ndarray, doys: np.ndarray,
+                      weather_h: np.ndarray | None, start_doy: int,
+                      target_doys: np.ndarray | None = None
                       ) -> tuple[Tensor, Tensor | None]:
         """No-grad encode of whole windows, nothing masked.
 
-        images (B, T, 6, H, H), doys (B, T), weather (B, L, 5) from start_doy.
-        Returns Emb_STW (B, T, G, D) and, when target_doys (B,) is given, the
-        weather state at each target (B, D), which is None for kinds without
-        weather. The LSTM runs up to the last image day, or up to the last
-        target day when targets are given (targets follow their windows).
+        images (B, T, 6, H, H), doys (B, T), and weather_h (B, L, D), the
+        frozen_weather states of each window's series from start_doy (None
+        for kinds without weather). Returns Emb_STW (B, T, G, D) and, when
+        target_doys (B,) is given, the weather state at each target (B, D),
+        which is None for kinds without weather.
         """
         b, t = images.shape[:2]
-        last_day = int(np.max(doys if target_doys is None else target_doys))
-        if last_day - start_doy + 1 > weather.shape[1]:
-            raise DomainError(f"doy {last_day} beyond the weather span of "
-                              f"{weather.shape[1]} days from {start_doy}")
         plans = trivial_plans(t, self.enc.grid, b)
+        h = None
+        if weather_h is not None:
+            last_day = int(np.max(doys if target_doys is None else target_doys))
+            if last_day - start_doy + 1 > weather_h.shape[1]:
+                raise DomainError(f"doy {last_day} beyond the {weather_h.shape[1]} weather "
+                                  f"states from {start_doy}")
+            h = Tensor(weather_h)
         with no_grad():
-            h = self.encode_weather(weather, steps=last_day - start_doy + 1)
             emb = self.encode_series(images, doys, h, start_doy, plans, mask_pixels=True)
             at_target = None
             if h is not None and target_doys is not None:
                 at_target = h[np.arange(b), target_doys - start_doy]
         return emb, at_target
 
-    def frozen_forecast(self, images: np.ndarray, doys: np.ndarray, weather: np.ndarray,
-                        start_doy: int, target_doys: np.ndarray) -> np.ndarray:
+    def frozen_forecast(self, images: np.ndarray, doys: np.ndarray,
+                        weather_h: np.ndarray | None, start_doy: int,
+                        target_doys: np.ndarray) -> np.ndarray:
         """Forecast embeddings (B, G, D) from each window's last timestamp to
-        its target day, which may be any day after the window, observed or not."""
-        emb, w_t = self.frozen_encode(images, doys, weather, start_doy, target_doys)
+        its target day, which may be any day after the window, observed or
+        not; the arguments are frozen_encode's."""
+        emb, w_t = self.frozen_encode(images, doys, weather_h, start_doy, target_doys)
         with no_grad():
             femb = forecast_embed(self.forecaster, emb[:, -1], w_t, self.doy(target_doys),
                                   self.delta(target_doys - doys[:, -1]))

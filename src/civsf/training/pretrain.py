@@ -20,7 +20,7 @@ import numpy as np
 
 from civsf.datamodel import Instance, Sample, build_instances, context_windows, stack_windows
 from civsf.encoders import WeatherEncoder, patchify
-from civsf.errors import CompatibilityError, DomainError, NumericError
+from civsf.errors import CompatibilityError, ConfigError, DomainError, NumericError
 from civsf.forecast_decode import forecast_embed, repopulate
 from civsf.fusion import causal_temporal_encode
 from civsf.harness.checkpoint import load_checkpoint, save_checkpoint
@@ -262,7 +262,11 @@ def load_model(path: str) -> tuple[FrameworkModel, Config, dict[str, str]]:
     if "framework" not in meta or "seed" not in meta:
         raise CompatibilityError(f"{path} lacks framework/seed metadata")
     from civsf.harness.config import parse_pairs
-    cfg = Config(**parse_pairs(cfg_pairs))
+    try:
+        cfg = Config(**parse_pairs(cfg_pairs))
+    except ConfigError as e:
+        raise CompatibilityError(f"{path}: the saved config does not fit this version: "
+                                 f"{e}") from e
     model = FrameworkModel(meta["framework"], cfg, int(meta["seed"]))
     model.load_state({k[len("model/"):]: v for k, v in tensors.items()
                       if k.startswith("model/")})

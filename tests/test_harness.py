@@ -1,7 +1,11 @@
 """Run configuration, checkpoint container, metrics, report tables, PPM
 emission, and the CLI's exit-code contract."""
 
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -482,6 +486,15 @@ def test_cli_non_utf8_checkpoint_exits_3(cli_dir, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
+def test_cli_checkpoint_with_unknown_config_key_exits_3(cli_dir, capsys):
+    tensors, meta = load_checkpoint(cli_dir["ci"])
+    bad = str(cli_dir["root"] / "extra-key.ckpt")
+    save_checkpoint(bad, tensors, {**meta, "cfg/retired_knob": "1"})
+    assert cli(["evaluate", "--data", cli_dir["data"], "--ckpt", bad]) == 3
+    err = capsys.readouterr().err
+    assert "retired_knob" in err and bad in err
+
+
 def test_crop_mapping_rejects_patch_4_checkpoint(cli_dir, capsys):
     from civsf.errors import CompatibilityError
     from civsf.training.finetune import finetune_crop
@@ -503,6 +516,17 @@ def test_cli_inspect_mask(capsys):
     assert all(len(row) == 16 and row.count("#") == 8 for row in lattice)
     assert "rows masked: [8, 8, 8, 8]" in out
     assert "cols masked: [2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2]" in out
+
+
+def test_python_dash_m_civsf_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "civsf", "inspect-mask", "--t", "4",
+                           "--g", "16", "--ratio", "0.5"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "rows masked: [8, 8, 8, 8]" in done.stdout
 
 
 def test_cli_config_errors(capsys):

@@ -15,7 +15,6 @@ from civsf.numerics.tensor import (
     pad2d,
     put,
     softmax,
-    stack,
 )
 
 
@@ -181,8 +180,8 @@ def test_two_layer_net_matches_central_differences():
         assert np.max(np.abs(p.grad - num) / denom) <= 1e-4
 
 
-@pytest.mark.parametrize("op", ["sigmoid", "relu", "abs", "softmax", "layernorm", "mean_axis", "getitem",
-                                "put", "pad2d", "stack", "pow"])
+@pytest.mark.parametrize("op", ["relu", "abs", "softmax", "layernorm", "mean_axis", "getitem",
+                                "put", "pad2d", "pow"])
 def test_elementwise_and_structural_ops_gradcheck(op):
     rng = np.random.default_rng(hash(op) % 2**32)
     # offsets keep relu/abs inputs away from their kinks
@@ -191,9 +190,7 @@ def test_elementwise_and_structural_ops_gradcheck(op):
 
     def loss():
         t = w
-        if op == "sigmoid":
-            out = t.sigmoid()
-        elif op == "relu":
+        if op == "relu":
             out = t.relu()
         elif op == "abs":
             out = t.abs()
@@ -210,8 +207,6 @@ def test_elementwise_and_structural_ops_gradcheck(op):
             out = put(t, (np.arange(3)[:, None], np.array([[0, 2, 1, 3]] * 3)), (3, 5))
         elif op == "pad2d":
             out = pad2d(t.reshape(1, 1, 3, 4), 1) * 1.5
-        elif op == "stack":
-            out = stack([t, t * 2.0], axis=0)
         else:
             out = (t * t + 0.5) ** 1.5
         return (out * out).mean()
@@ -328,6 +323,120 @@ def test_lstm_forget_bias_is_one():
     # gate order (input, forget, cell, output): forget block is rows 5..10
     assert np.all(cell.b.data[5:10] == 1.0)
     assert np.all(cell.b.data[:5] == 0.0)
+
+
+def _sigmoid(a: Tensor) -> Tensor:
+    out = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(a.data))),
+                   np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
+    out = out.astype(a.data.dtype, copy=False)
+    return Tensor._make(out, (a,), lambda g: (g * out * (1.0 - out),))
+
+
+def _stack_steps(hs: list[Tensor]) -> Tensor:
+    return Tensor._make(np.stack([h.data for h in hs], axis=1), tuple(hs),
+                        lambda g: tuple(np.moveaxis(g, 1, 0)))
+
+
+def step_by_step_lstm(cell: nn.Lstm, x: np.ndarray, steps: int | None = None) -> Tensor:
+    """Reference: the LSTM recurrence as one graph node per operation and day."""
+    n, length, _ = x.shape
+    hd = cell.d_hidden
+    h = Tensor(np.zeros((n, hd), dtype=cell.dtype))
+    c = Tensor(np.zeros((n, hd), dtype=cell.dtype))
+    outputs = []
+    for t in range(length if steps is None else min(steps, length)):
+        xt = Tensor(np.ascontiguousarray(x[:, t], dtype=cell.dtype))
+        z = xt @ cell.wx + h @ cell.wh + cell.b
+        i = _sigmoid(z[:, 0 * hd:1 * hd])
+        f = _sigmoid(z[:, 1 * hd:2 * hd])
+        g = z[:, 2 * hd:3 * hd].tanh()
+        o = _sigmoid(z[:, 3 * hd:4 * hd])
+        c = f * c + i * g
+        h = o * c.tanh()
+        outputs.append(h)
+    return _stack_steps(outputs)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 7, 32])
+def test_fused_lstm_matches_step_by_step_graph_bitwise(dtype, n):
+    rng = np.random.default_rng(23)
+    cell = nn.Lstm(6, 16, rng, dtype=dtype)
+    x = rng.normal(size=(n, 365, 6))
+    weights = rng.normal(size=(n, 365, 16)).astype(dtype)
+
+    def run(lstm, steps, last_only):
+        for p in cell.parameters():
+            p.grad = None
+        out = lstm(x, steps)
+        w = weights[:, :out.shape[1]]
+        if last_only:                   # the soil head reads the last state only
+            loss = (out[:, -1] * Tensor(w[:, -1])).sum()
+        else:
+            loss = (out * Tensor(w)).sum()
+        loss.backward()
+        return [out.data.tobytes()] + [p.grad.tobytes() for p in cell.parameters()]
+
+    for steps, last_only in ((None, False), (200, False), (None, True)):
+        assert run(cell, steps, last_only) == run(
+            lambda xs, k: step_by_step_lstm(cell, xs, k), steps, last_only), (steps, last_only)
+
+
+# one-row slices at hidden 64 are left out: numpy sends a one-row matmul to
+# BLAS gemv, whose sums over 64 terms differ in the last bits from gemm's
+@pytest.mark.parametrize("hidden, rows", [(16, ((0, 1), (3, 7), (17, 33))),
+                                          (64, ((3, 7), (17, 33)))])
+def test_no_grad_lstm_states_are_row_and_prefix_invariant(hidden, rows):
+    # fine-tuning runs each location's weather once and gathers the states
+    # of its windows, which keeps the bits only while a row's states depend
+    # on neither the rows run beside it nor the number of days run
+    rng = np.random.default_rng(24)
+    cell = nn.Lstm(6, hidden, rng)
+    x = rng.normal(size=(40, 365, 6)).astype(np.float32)
+    with no_grad():
+        full = cell(x).data
+        for lo, hi in rows:
+            assert cell(x[lo:hi]).data.tobytes() == full[lo:hi].tobytes(), (lo, hi)
+        assert cell(x, steps=200).data.tobytes() == full[:, :200].tobytes()
+
+
+def test_grad_check_equals_graph_mode_loop():
+    rng = np.random.default_rng(25)
+    cell = nn.Lstm(3, 4, rng, dtype=np.float64)
+    head = nn.Linear(4, 2, rng, dtype=np.float64)
+    x = rng.normal(size=(2, 6, 3))
+    params = cell.named_parameters("lstm") + head.named_parameters("head")
+
+    def loss():
+        return (head(cell(x)) ** 2).mean()
+
+    got = grad_check(loss, params, max_coords_per_param=3, rng=np.random.default_rng(26))
+
+    # the same central differences, each evaluation recording its graph
+    for _, p in params:
+        p.grad = None
+    loss().backward()
+    analytic = collect_grads(params)
+    coords_rng = np.random.default_rng(26)
+    eps = 1e-5
+    want = 0.0
+    for name, p in params:
+        flat = p.data.reshape(-1)
+        coords = np.arange(flat.size)
+        if flat.size > 3:
+            coords = coords_rng.choice(flat.size, size=3, replace=False)
+        for i in coords:
+            saved = flat[i]
+            flat[i] = saved + eps
+            hi = loss()
+            flat[i] = saved - eps
+            lo = loss()
+            flat[i] = saved
+            assert hi.requires_grad and lo.requires_grad
+            numeric = (hi.item() - lo.item()) / (2.0 * eps)
+            a = float(analytic[name].reshape(-1)[i])
+            want = max(want, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
+    assert got == want
 
 
 # -- optimizers -------------------------------------------------------------------
