@@ -128,9 +128,21 @@ def build_instances(sample: Sample, sample_idx: int, context_len: int,
     return out
 
 
+def instances_of(samples: list[Sample], idxs, context_len: int, gap_min: int,
+                 gap_max: int) -> list[Instance]:
+    """build_instances of each listed sample, in the order listed."""
+    return [inst for si in idxs
+            for inst in build_instances(samples[si], si, context_len, gap_min, gap_max)]
+
+
 def context_windows(sample: Sample, context_len: int) -> list[int]:
     """Start indices of every full-length context window (for reconstruction phases)."""
     return list(range(max(0, sample.t_steps - context_len + 1)))
+
+
+def windows_of(samples: list[Sample], idxs, length: int) -> list[tuple[int, int]]:
+    """Every (sample, start) window of the given length in the listed samples."""
+    return [(si, s) for si in idxs for s in context_windows(samples[si], length)]
 
 
 def stack_windows(samples: list[Sample], rows, length: int

@@ -8,12 +8,13 @@ Flags override config-file values; `--set key=value` overrides any field.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 import numpy as np
 
-from civsf.datamodel import load_container, split, stack_windows
+from civsf.datamodel import load_container, split, stack_windows, windows_of
 from civsf.encoders import unpatchify
 from civsf.errors import (CompatibilityError, ConfigError, DataFormatError,
                           DomainError, NumericError, ShapeError)
@@ -107,11 +108,7 @@ def cmd_finetune(args) -> int:
     from civsf.harness.checkpoint import save_checkpoint
     from civsf.training import finetune as ft
     model, cfg, _ = _ckpt_model(args.ckpt)
-    ov = _overrides(args)
-    if ov:
-        pairs = {f: str(getattr(cfg, f)) for f in cfg.__dataclass_fields__}
-        pairs.update(ov)
-        cfg = Config(**config_mod.parse_pairs(pairs))
+    cfg = dataclasses.replace(cfg, **config_mod.parse_pairs(_overrides(args)))
     samples = _load_data(args.data)
     seed = cfg.seed if args.seed is None else args.seed
     fn_name, kwargs, metric = _FT_TASKS[args.task]
@@ -147,7 +144,7 @@ def cmd_evaluate(args) -> int:
     _, _, test_idx = split(len(samples), (cfg.train_frac, cfg.val_frac, cfg.test_frac),
                            cfg.seed)
     stream = RngStream(cfg.seed)
-    windows = ft.windows_of(samples, test_idx, cfg.context_len)
+    windows = windows_of(samples, test_idx, cfg.context_len)
     windows = windows[:cfg.ft_max_eval] if cfg.ft_max_eval else windows
     if not windows:
         raise DomainError("no evaluation windows in the test split")
@@ -336,3 +333,7 @@ def cli(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

@@ -27,8 +27,6 @@ class MaskPlan:
     g_patches: int
     ratio: float
     masked: np.ndarray                 # (T, G) bool
-    row_perm: np.ndarray               # (T,) applied to canonical rows
-    col_perm: np.ndarray               # (G,) applied to canonical columns
     # gather/scatter companions, all derived from `masked`:
     unmasked_patches: np.ndarray = field(init=False)   # (T, U) patch ids, ascending
     slot_of: np.ndarray = field(init=False)            # (T, G) slot index or -1
@@ -51,10 +49,6 @@ class MaskPlan:
             ts = np.flatnonzero(~self.masked[:, col])
             self.series_times[col] = ts
             self.series_slots[col] = self.slot_of[ts, col]
-
-    @property
-    def n_unmasked_per_step(self) -> int:
-        return self.unmasked_patches.shape[1]
 
     @property
     def series_len(self) -> int:
@@ -88,7 +82,7 @@ def build_mask(t_steps: int, g_patches: int, ratio: float,
     row_perm = rng.permutation(t_steps)
     col_perm = rng.permutation(g_patches)
     masked = base[np.ix_(row_perm, col_perm)]
-    return MaskPlan(t_steps, g_patches, ratio, masked, row_perm, col_perm)
+    return MaskPlan(t_steps, g_patches, ratio, masked)
 
 
 def verify_mask(plan: MaskPlan) -> None:

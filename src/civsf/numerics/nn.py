@@ -37,9 +37,6 @@ class Module:
                         out.extend(item.named_parameters(f"{name}.{i}"))
         return out
 
-    def parameters(self) -> list[Tensor]:
-        return [p for _, p in self.named_parameters()]
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data for name, p in self.named_parameters()}
 

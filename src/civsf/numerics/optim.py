@@ -2,7 +2,8 @@
 
 All state lives in plain float arrays keyed by parameter name so checkpoints
 can carry it and a resumed run continues bitwise identically. A non-finite
-gradient aborts the step and names the offending parameter.
+loss aborts before the backward pass, and a non-finite gradient aborts the
+step naming the offending parameter.
 """
 
 from __future__ import annotations
@@ -24,6 +25,15 @@ class Optimizer:
     def zero_grad(self) -> None:
         for _, p in self.params:
             p.grad = None
+
+    def minimize(self, loss: Tensor, where: str) -> None:
+        """One step down the gradient of loss; a non-finite loss raises
+        NumericError naming where it arose ("phase 1a at epoch 3")."""
+        if not np.isfinite(loss.data):
+            raise NumericError(f"non-finite loss in {where}")
+        self.zero_grad()
+        loss.backward()
+        self.step()
 
     def _grad(self, name: str, p: Tensor) -> np.ndarray:
         g = p.grad if p.grad is not None else np.zeros_like(p.data)

@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from civsf.datamodel import (Instance, Sample, build_instances, context_windows, split,
-                             stack_windows)
+from civsf.datamodel import Instance, Sample, instances_of, split, stack_windows, windows_of
 from civsf.encoders import patchify, unpatchify
-from civsf.errors import CompatibilityError, DomainError, NumericError, ShapeError
+from civsf.errors import CompatibilityError, DomainError, ShapeError
 from civsf.harness.config import Config
 from civsf.harness.metrics import bucket_means, macro_f1, mse
 from civsf.numerics import RngStream, Tensor, log_softmax, nn, no_grad, optim, softmax
@@ -119,16 +118,20 @@ def _split_idx(samples: list[Sample], cfg: Config) -> tuple[list[int], list[int]
     return train, test
 
 
-def _cap(items: list, cap: int, stream: RngStream, label: str) -> list:
-    if cap and len(items) > cap:
-        take = stream.generator(label).permutation(len(items))[:cap]
-        return [items[i] for i in take]
-    return items
-
-
-def windows_of(samples: list[Sample], idxs, length: int) -> list[tuple[int, int]]:
-    """Every (sample, start) window of the given length in the listed samples."""
-    return [(si, s) for si in idxs for s in context_windows(samples[si], length)]
+def _capped(train: list, test: list, cfg: Config, stream: RngStream, task: str,
+            suffix: str = "") -> tuple[list, list]:
+    """Train and test items cut to ft_max_train and ft_max_eval (0 keeps
+    all), each cut a random subset in the order drawn from
+    'ft/<task>/cap/{train,eval}<suffix>'; DomainError when either is empty."""
+    def cap(items: list, n: int, split_name: str) -> list:
+        if n and len(items) > n:
+            label = f"ft/{task}/cap/{split_name}{suffix}"
+            return [items[i] for i in stream.generator(label).permutation(len(items))[:n]]
+        return items
+    train, test = cap(train, cfg.ft_max_train, "train"), cap(test, cfg.ft_max_eval, "eval")
+    if not train or not test:
+        raise DomainError(f"{task} fine-tune has empty train or eval items")
+    return train, test
 
 
 def weather_states(model: FrameworkModel, samples: list[Sample], idxs, cfg: Config
@@ -152,20 +155,29 @@ def weather_states(model: FrameworkModel, samples: list[Sample], idxs, cfg: Conf
     return out
 
 
-def _window_states(states: dict[int, np.ndarray] | None, rows) -> np.ndarray | None:
-    """The weather states of each (sample, start) row's sample, (B, L, D)."""
-    return None if states is None else np.stack([states[si] for si, _ in rows])
+def _frozen_pass(samples: list[Sample], states: dict[int, np.ndarray] | None, rows,
+                 length: int, cfg: Config, fn) -> tuple[np.ndarray, ...]:
+    """Run fn on each ft_batch chunk of (sample, start) rows.
+
+    fn(take, images, doys, states, start) gets the chunk's slice of rows,
+    its stacked windows of the given length, the weather_states of each
+    row's sample (B, L, D) or None, and the start DOY they share; it returns
+    a tuple of arrays, and each is concatenated across chunks.
+    """
+    outs = []
+    for lo in range(0, len(rows), cfg.ft_batch):
+        take = slice(lo, lo + cfg.ft_batch)
+        imgs, doys, _, start = stack_windows(samples, rows[take], length)
+        h = None if states is None else np.stack([states[si] for si, _ in rows[take]])
+        outs.append(fn(take, imgs, doys, h, start))
+    return tuple(np.concatenate(parts) for parts in zip(*outs))
 
 
 def _embed_windows(model: FrameworkModel, samples, states, windows, length, cfg) -> np.ndarray:
-    """Chunked frozen encode of windows -> Emb_STW (N, T, G, D)."""
-    out = []
-    for lo in range(0, len(windows), cfg.ft_batch):
-        rows = windows[lo:lo + cfg.ft_batch]
-        imgs, doys, _, start = stack_windows(samples, rows, length)
-        emb, _ = model.frozen_encode(imgs, doys, _window_states(states, rows), start)
-        out.append(emb.data)
-    return np.concatenate(out)
+    """Frozen encode of windows -> Emb_STW (N, T, G, D)."""
+    def embed(take, imgs, doys, h, start):
+        return (model.frozen_encode(imgs, doys, h, start)[0].data,)
+    return _frozen_pass(samples, states, windows, length, cfg, embed)[0]
 
 
 def _fit(opt, n: int, epochs: int, cfg: Config, stream: RngStream, label: str,
@@ -181,11 +193,7 @@ def _fit(opt, n: int, epochs: int, cfg: Config, stream: RngStream, label: str,
         for lo in range(0, n, cfg.ft_batch):
             take = perm[lo:lo + cfg.ft_batch]
             loss = loss_fn(take)
-            if not np.isfinite(loss.data):
-                raise NumericError(f"non-finite loss in {task} fine-tuning at epoch {epoch}")
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
+            opt.minimize(loss, f"{task} fine-tuning at epoch {epoch}")
             total += float(loss.data) * len(take)
         losses.append(total / n)
     return losses
@@ -235,29 +243,21 @@ def finetune_missing(model: FrameworkModel, samples: list[Sample], cfg: Config,
     stream = RngStream(seed)
     c = cfg.context_len
     train_s, test_s = _split_idx(samples, cfg)
-    tr_windows = _cap(windows_of(samples, train_s, c), cfg.ft_max_train, stream,
-                      "ft/missing/cap/train")
-    te_windows = _cap(windows_of(samples, test_s, c), cfg.ft_max_eval, stream,
-                      "ft/missing/cap/eval")
-    if not tr_windows or not te_windows:
-        raise DomainError("missing-image fine-tune has empty train or eval windows")
-
+    tr_windows, te_windows = _capped(windows_of(samples, train_s, c),
+                                     windows_of(samples, test_s, c), cfg, stream, "missing")
     states = weather_states(model, samples, [si for si, _ in tr_windows + te_windows], cfg)
 
     def prepare(windows, label):
         """Embeddings of the corrupted series and clean truth patches at the
         two hit steps of each window, (N, 2, G, D) and (N, 2, G, P)."""
         rng = stream.generator(f"ft/missing/corrupt/{label}")
-        hits, truths = [], []
-        for lo in range(0, len(windows), cfg.ft_batch):
-            chunk = windows[lo:lo + cfg.ft_batch]
-            imgs, doys, _, start = stack_windows(samples, chunk, c)
+
+        def hit(take, imgs, doys, h, start):
             corrupted, t_hit, _ = corrupt_series(imgs, model.enc.patch, cfg.missing_pct, rng)
-            emb, _ = model.frozen_encode(corrupted, doys, _window_states(states, chunk), start)
+            emb, _ = model.frozen_encode(corrupted, doys, h, start)
             rows = np.arange(len(imgs))[:, None]
-            hits.append(emb.data[rows, t_hit])
-            truths.append(patchify(imgs, model.enc.patch)[rows, t_hit])
-        return np.concatenate(hits), np.concatenate(truths)
+            return emb.data[rows, t_hit], patchify(imgs, model.enc.patch)[rows, t_hit]
+        return _frozen_pass(samples, states, windows, c, cfg, hit)
 
     hit_tr, truth_tr = prepare(tr_windows, "train")
     hit_te, truth_te = prepare(te_windows, "eval")
@@ -277,29 +277,19 @@ def finetune_missing(model: FrameworkModel, samples: list[Sample], cfg: Config,
 def instance_pools(samples, cfg, stream, task) -> tuple[list[Instance], list[Instance]]:
     """Forecast instances of the train and test splits, capped per split
     with draws labeled by task."""
-    train_s, test_s = _split_idx(samples, cfg)
-    def pool(idxs):
-        out = []
-        for si in idxs:
-            out.extend(build_instances(samples[si], si, cfg.context_len,
-                                       cfg.gap_min, cfg.gap_max))
-        return out
-    tr = _cap(pool(train_s), cfg.ft_max_train, stream, f"ft/{task}/cap/train")
-    te = _cap(pool(test_s), cfg.ft_max_eval, stream, f"ft/{task}/cap/eval")
-    if not tr or not te:
-        raise DomainError(f"{task} fine-tune has empty train or eval instances")
-    return tr, te
+    train, test = (instances_of(samples, idxs, cfg.context_len, cfg.gap_min, cfg.gap_max)
+                   for idxs in _split_idx(samples, cfg))
+    return _capped(train, test, cfg, stream, task)
 
 
-def _instance_batches(samples, states, insts: list[Instance], cfg: Config):
-    """ft_batch chunks of instances as (chunk, context images, context doys,
-    weather states, start doy, target doys)."""
-    for lo in range(0, len(insts), cfg.ft_batch):
-        chunk = insts[lo:lo + cfg.ft_batch]
-        rows = [(i.sample_idx, i.start) for i in chunk]
-        imgs, doys, _, start = stack_windows(samples, rows, cfg.context_len)
-        tgt_doy = np.array([int(samples[i.sample_idx].doys[i.target]) for i in chunk])
-        yield chunk, imgs, doys, _window_states(states, rows), start, tgt_doy
+def _windows(insts: list[Instance]) -> list[tuple[int, int]]:
+    return [(i.sample_idx, i.start) for i in insts]
+
+
+def _targets(samples, insts: list[Instance]) -> tuple[np.ndarray, np.ndarray]:
+    """Target DOYs and horizons (target DOY minus last context DOY) of instances."""
+    return (np.array([int(samples[i.sample_idx].doys[i.target]) for i in insts]),
+            np.array([i.delta for i in insts]))
 
 
 def forecast_cache(model: FrameworkModel, samples, states, insts: list[Instance],
@@ -309,14 +299,12 @@ def forecast_cache(model: FrameworkModel, samples, states, insts: list[Instance]
 
     Returns (femb (N, G, D), truth patches (N, G, P), deltas (N,)).
     """
-    fembs, truths, deltas = [], [], []
-    for chunk, imgs, doys, weather_h, start, tgt_doy in _instance_batches(
-            samples, states, insts, cfg):
-        fembs.append(model.frozen_forecast(imgs, doys, weather_h, start, tgt_doy))
-        tgt_img = np.stack([samples[i.sample_idx].images[i.target] for i in chunk])
-        truths.append(patchify(tgt_img, model.enc.patch))
-        deltas.append(tgt_doy - doys[:, -1])
-    return np.concatenate(fembs), np.concatenate(truths), np.concatenate(deltas)
+    def forecast(take, imgs, doys, h, start):
+        tgt_doy, deltas = _targets(samples, insts[take])
+        tgt_img = np.stack([samples[i.sample_idx].images[i.target] for i in insts[take]])
+        return (model.frozen_forecast(imgs, doys, h, start, tgt_doy),
+                patchify(tgt_img, model.enc.patch), deltas)
+    return _frozen_pass(samples, states, _windows(insts), cfg.context_len, cfg, forecast)
 
 
 def forecast_mse(decoder, femb: np.ndarray, truth: np.ndarray,
@@ -353,23 +341,21 @@ def _soil_cache(model: FrameworkModel, samples, states, insts: list[Instance], c
     if any(samples[i.sample_idx].soil is None for i in insts):
         raise DomainError("soil fine-tune needs samples with a soil series")
     c = cfg.context_len
-    z_out, soils, targets, deltas = [], [], [], []
-    for chunk, imgs, doys, weather_h, start, tgt_doy in _instance_batches(
-            samples, states, insts, cfg):
-        emb, w_t = model.frozen_encode(imgs, doys, weather_h, start, tgt_doy)
+
+    def constants(take, imgs, doys, h, start):
+        chunk = insts[take]
+        tgt_doy, deltas = _targets(samples, chunk)
+        emb, w_t = model.frozen_encode(imgs, doys, h, start, tgt_doy)
         with no_grad():
-            z = emb[:, -1].mean(axis=1) + model.doy(tgt_doy) \
-                + model.delta(tgt_doy - doys[:, -1])
+            z = emb[:, -1].mean(axis=1) + model.doy(tgt_doy) + model.delta(deltas)
             if w_t is not None:
                 z = z + w_t
-        z_out.append(z.data)
-        soils.append(np.stack([samples[i.sample_idx].soil[i.start:i.start + c]
-                               for i in chunk]))
-        targets.append(np.array([float(samples[i.sample_idx].soil[i.target])
-                                 for i in chunk], dtype=np.float32))
-        deltas.append(tgt_doy - doys[:, -1])
-    return (np.concatenate(z_out), np.concatenate(soils),
-            np.concatenate(targets), np.concatenate(deltas))
+        return (z.data,
+                np.stack([samples[i.sample_idx].soil[i.start:i.start + c] for i in chunk]),
+                np.array([float(samples[i.sample_idx].soil[i.target]) for i in chunk],
+                         dtype=np.float32),
+                deltas)
+    return _frozen_pass(samples, states, _windows(insts), c, cfg, constants)
 
 
 def finetune_soil_forecast(model: FrameworkModel, samples: list[Sample], cfg: Config,
@@ -429,13 +415,9 @@ def finetune_estimate(model: FrameworkModel, samples: list[Sample], cfg: Config,
             raise DomainError("cross-region estimation found no populated regions")
     folds = []
     for tag, suffix, tr_idx, te_idx in splits:
-        tr_w = _cap(windows_of(samples, tr_idx, cfg.context_len), cfg.ft_max_train, stream,
-                    f"ft/estimate/cap/train{suffix}")
-        te_w = _cap(windows_of(samples, te_idx, cfg.context_len), cfg.ft_max_eval, stream,
-                    f"ft/estimate/cap/eval{suffix}")
-        if not tr_w or not te_w:
-            raise DomainError("estimation fine-tune has empty train or eval windows")
-        folds.append((tag, suffix, tr_w, te_w))
+        folds.append((tag, suffix, *_capped(windows_of(samples, tr_idx, cfg.context_len),
+                                            windows_of(samples, te_idx, cfg.context_len),
+                                            cfg, stream, "estimate", suffix)))
     states = weather_states(model, samples,
                             [si for *_, tr_w, te_w in folds for si, _ in tr_w + te_w], cfg)
 
@@ -479,10 +461,8 @@ def finetune_crop(model: FrameworkModel, samples: list[Sample], cfg: Config,
     for si in train_s + test_s:
         if samples[si].crops is None:
             raise DomainError("crop fine-tune needs samples with crop grids")
-    tr_w = _cap(windows_of(samples, train_s, t_ft), cfg.ft_max_train, stream, "ft/crop/cap/train")
-    te_w = _cap(windows_of(samples, test_s, t_ft), cfg.ft_max_eval, stream, "ft/crop/cap/eval")
-    if not tr_w or not te_w:
-        raise DomainError("crop fine-tune has empty train or eval windows")
+    tr_w, te_w = _capped(windows_of(samples, train_s, t_ft), windows_of(samples, test_s, t_ft),
+                         cfg, stream, "crop")
 
     states = weather_states(model, samples, [si for si, _ in tr_w + te_w], cfg)
     emb_tr = _embed_windows(model, samples, states, tr_w, t_ft, cfg)

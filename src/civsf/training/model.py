@@ -88,11 +88,10 @@ class FrameworkModel(nn.Module):
 
     # -- forward paths -----------------------------------------------------------
 
-    def encode_weather(self, weather: np.ndarray, steps: int | None = None,
-                       day_mask: np.ndarray | None = None) -> Tensor | None:
+    def encode_weather(self, weather: np.ndarray, steps: int | None = None) -> Tensor | None:
         if self.weather is None:
             return None
-        return self.weather(weather, day_mask=day_mask, steps=steps)
+        return self.weather(weather, steps=steps)
 
     def fuse_series(self, patches: np.ndarray, doys: np.ndarray,
                     weather_h: Tensor | None, start_doy: int,
@@ -177,6 +176,5 @@ class FrameworkModel(nn.Module):
 def trivial_plans(t_steps: int, g_patches: int, n: int) -> list[MaskPlan]:
     """r=0 plans (nothing masked), shared across a batch of n rows."""
     masked = np.zeros((t_steps, g_patches), dtype=bool)
-    plan = MaskPlan(t_steps, g_patches, 0.0, masked,
-                    np.arange(t_steps), np.arange(g_patches))
+    plan = MaskPlan(t_steps, g_patches, 0.0, masked)
     return [plan] * n

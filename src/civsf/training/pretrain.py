@@ -18,16 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from civsf.datamodel import Instance, Sample, build_instances, context_windows, stack_windows
+from civsf.datamodel import Instance, Sample, instances_of, stack_windows, windows_of
 from civsf.encoders import WeatherEncoder, patchify
-from civsf.errors import CompatibilityError, ConfigError, DomainError, NumericError
+from civsf.errors import CompatibilityError, ConfigError, DomainError
 from civsf.forecast_decode import forecast_embed, repopulate
 from civsf.fusion import causal_temporal_encode
 from civsf.harness.checkpoint import load_checkpoint, save_checkpoint
-from civsf.harness.config import Config
+from civsf.harness.config import Config, parse_pairs
 from civsf.masking import build_mask, build_weather_mask
 from civsf.numerics import RngStream, no_grad, optim
-from civsf.training.model import FrameworkModel, uses_forecaster
+from civsf.training.model import FrameworkModel
 
 PHASES = {
     "sm-mr": ("1a", "1c"),
@@ -52,27 +52,28 @@ def phase_schedule(kind: str, cfg: Config) -> list[tuple[str, int]]:
     return [(p, epochs[p]) for p in PHASES[kind] if epochs[p] > 0]
 
 
-# -- epoch pools -------------------------------------------------------------
+# -- epoch pools: each maps (samples, cfg) to the items a phase draws from ----
 
-def image_pool(samples: list[Sample]) -> list[tuple[int, int]]:
+def image_pool(samples: list[Sample], cfg: Config) -> list[tuple[int, int]]:
     return [(si, t) for si, s in enumerate(samples) for t in range(s.t_steps)]
 
 
-def window_pool(samples: list[Sample], context_len: int) -> list[tuple[int, int]]:
-    return [(si, start) for si, s in enumerate(samples)
-            for start in context_windows(s, context_len)]
+def sample_pool(samples: list[Sample], cfg: Config) -> list[int]:
+    return list(range(len(samples)))
+
+
+def window_pool(samples: list[Sample], cfg: Config) -> list[tuple[int, int]]:
+    return windows_of(samples, range(len(samples)), cfg.context_len)
 
 
 def phase2_window_pool(samples: list[Sample], cfg: Config) -> list[list[Instance]]:
     """Instances grouped by context window, so K can be resampled per window
     each epoch."""
-    pool: list[list[Instance]] = []
-    for si, s in enumerate(samples):
-        by_start: dict[int, list[Instance]] = {}
-        for inst in build_instances(s, si, cfg.context_len, cfg.gap_min, cfg.gap_max):
-            by_start.setdefault(inst.start, []).append(inst)
-        pool.extend(by_start.values())
-    return pool
+    by_window: dict[tuple[int, int], list[Instance]] = {}
+    for inst in instances_of(samples, range(len(samples)), cfg.context_len,
+                             cfg.gap_min, cfg.gap_max):
+        by_window.setdefault((inst.sample_idx, inst.start), []).append(inst)
+    return list(by_window.values())
 
 
 def _reordered(phase: str, cap: str | None):
@@ -198,34 +199,25 @@ def _phase2_batch(model: FrameworkModel, samples, insts: list[Instance],
 
 # -- epoch loops ---------------------------------------------------------------
 
-def _optim_step(opt, loss, phase: str, epoch: int) -> None:
-    if not np.isfinite(loss.data):
-        raise NumericError(f"non-finite loss in phase {phase} at epoch {epoch}")
-    opt.zero_grad()
-    loss.backward()
-    opt.step()
-
-
-# phase -> (pool key, Config field of the batch size, epoch items, batch
+# phase -> (pool builder, Config field of the batch size, epoch items, batch
 # loss); epoch items map (pool, cfg, stream, epoch) to the epoch's items
 PHASE_STEPS = {
-    "1a": ("images", "batch_size", _reordered("1a", "images_per_epoch"), _phase1a_batch),
-    "1b": ("samples", "batch_size", _reordered("1b", None), _phase1b_batch),
-    "1c": ("windows", "seq_batch_size", _reordered("1c", "instances_per_epoch"),
+    "1a": (image_pool, "batch_size", _reordered("1a", "images_per_epoch"), _phase1a_batch),
+    "1b": (sample_pool, "batch_size", _reordered("1b", None), _phase1b_batch),
+    "1c": (window_pool, "seq_batch_size", _reordered("1c", "instances_per_epoch"),
            _phase1c_batch),
-    "2": ("phase2", "seq_batch_size", phase2_epoch_instances, _phase2_batch),
+    "2": (phase2_window_pool, "seq_batch_size", phase2_epoch_instances, _phase2_batch),
 }
 
 
-def run_epoch(phase: str, model: FrameworkModel, samples, pools, cfg: Config,
+def run_epoch(phase: str, model: FrameworkModel, samples, pool: list, cfg: Config,
               stream: RngStream, opt, epoch: int) -> float:
-    """One epoch of a phase: its items in batches, one optimizer step per
-    batch, every mask drawn from '<phase>/epoch<e>/mask'. Returns the mean
-    item loss."""
+    """One epoch of a phase over its pool: the epoch's items in batches, one
+    optimizer step per batch, every mask drawn from '<phase>/epoch<e>/mask'.
+    Returns the mean item loss."""
     if phase not in PHASE_STEPS:
         raise DomainError(f"unknown phase '{phase}'")
-    pool_key, batch_field, items_of, batch_loss = PHASE_STEPS[phase]
-    pool = pools[pool_key]
+    _, batch_field, items_of, batch_loss = PHASE_STEPS[phase]
     if not pool:
         raise DomainError(f"phase {phase} has no training items "
                           f"(context_len {cfg.context_len}, gaps [{cfg.gap_min}, {cfg.gap_max}])")
@@ -236,7 +228,7 @@ def run_epoch(phase: str, model: FrameworkModel, samples, pools, cfg: Config,
     for lo in range(0, len(items), batch):
         chunk = items[lo:lo + batch]
         loss = batch_loss(model, samples, chunk, cfg, rng)
-        _optim_step(opt, loss, phase, epoch)
+        opt.minimize(loss, f"phase {phase} at epoch {epoch}")
         total += float(loss.data) * len(chunk)
     return total / len(items)
 
@@ -255,21 +247,23 @@ def _save(path: str, model: FrameworkModel, opt, kind: str, cfg: Config,
     save_checkpoint(path, tensors, meta)
 
 
+def _prefixed(arrays: dict, prefix: str) -> dict:
+    """The entries whose names start with prefix, under the rest of the name."""
+    return {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
+
+
 def load_model(path: str) -> tuple[FrameworkModel, Config, dict[str, str]]:
     """Rebuild the exact model a checkpoint was saved from."""
     tensors, meta = load_checkpoint(path)
-    cfg_pairs = {k[len("cfg/"):]: v for k, v in meta.items() if k.startswith("cfg/")}
     if "framework" not in meta or "seed" not in meta:
         raise CompatibilityError(f"{path} lacks framework/seed metadata")
-    from civsf.harness.config import parse_pairs
     try:
-        cfg = Config(**parse_pairs(cfg_pairs))
+        cfg = Config(**parse_pairs(_prefixed(meta, "cfg/")))
     except ConfigError as e:
         raise CompatibilityError(f"{path}: the saved config does not fit this version: "
                                  f"{e}") from e
     model = FrameworkModel(meta["framework"], cfg, int(meta["seed"]))
-    model.load_state({k[len("model/"):]: v for k, v in tensors.items()
-                      if k.startswith("model/")})
+    model.load_state(_prefixed(tensors, "model/"))
     return model, cfg, meta
 
 
@@ -286,14 +280,11 @@ def run_framework(kind: str, samples: list[Sample], cfg: Config, seed: int,
     stream = RngStream(seed)
     sched = phase_schedule(kind, cfg)
 
-    pools = {"images": image_pool(samples), "samples": list(range(len(samples)))}
-    if any(p == "1c" for p, _ in sched):
-        pools["windows"] = window_pool(samples, cfg.context_len)
-    if uses_forecaster(kind):
-        pools["phase2"] = phase2_window_pool(samples, cfg)
-
-    start_pi, start_epoch, global_epoch = 0, 0, 0
-    pending_opt = None
+    # phase -> epochs already run; the checkpoint's phase resumes mid-way
+    # with its saved optimizer state, the phases before it are complete
+    done: dict[str, int] = {}
+    opt_state: dict[str, np.ndarray] = {}
+    global_epoch = 0
     if resume_from is not None:
         tensors, meta = load_checkpoint(resume_from)
         if meta.get("framework") != kind:
@@ -301,34 +292,28 @@ def run_framework(kind: str, samples: list[Sample], cfg: Config, seed: int,
                 f"checkpoint trained framework '{meta.get('framework')}', not '{kind}'")
         if meta.get("config_hash") != cfg.hash():
             raise CompatibilityError("checkpoint config does not match this run's config")
-        model.load_state({k[len("model/"):]: v for k, v in tensors.items()
-                          if k.startswith("model/")})
+        model.load_state(_prefixed(tensors, "model/"))
         names = [p for p, _ in sched]
         phase = meta.get("phase")
         if phase not in names:
             raise CompatibilityError(f"checkpoint phase '{phase}' not in schedule {names}")
-        pi = names.index(phase)
-        done = int(meta["epochs_done"])
+        done = dict(sched[:names.index(phase)])
+        done[phase] = int(meta["epochs_done"])
         global_epoch = int(meta["global_epoch"])
-        if done >= sched[pi][1]:
-            start_pi, start_epoch = pi + 1, 0
-        else:
-            start_pi, start_epoch = pi, done
-            pending_opt = {k[len("opt/"):]: v for k, v in tensors.items()
-                           if k.startswith("opt/")}
+        opt_state = _prefixed(tensors, "opt/")
 
     records: list[EpochRecord] = []
-    for pi, (phase, n_epochs) in enumerate(sched):
-        if pi < start_pi:
+    for phase, n_epochs in sched:
+        first = done.get(phase, 0)
+        if first >= n_epochs:
             continue
         opt = optim.Adam(model.phase_params(phase), lr=cfg.lr)
-        first = start_epoch if pi == start_pi else 0
-        if pending_opt is not None and pi == start_pi and first > 0:
-            opt.load_state(pending_opt)
-            pending_opt = None
+        if first > 0:
+            opt.load_state(opt_state)
+        pool = PHASE_STEPS[phase][0](samples, cfg)
         for e in range(first, n_epochs):
             t0 = time.monotonic()
-            loss = run_epoch(phase, model, samples, pools, cfg, stream, opt, e)
+            loss = run_epoch(phase, model, samples, pool, cfg, stream, opt, e)
             dt = time.monotonic() - t0
             records.append(EpochRecord(global_epoch, phase, kind, loss, dt))
             global_epoch += 1
@@ -337,9 +322,9 @@ def run_framework(kind: str, samples: list[Sample], cfg: Config, seed: int,
                       f"loss {loss:.6f} ({dt:.1f}s)", flush=True)
             if e + 1 == n_epochs or (cfg.ckpt_every and (e + 1) % cfg.ckpt_every == 0):
                 _save(out_path, model, opt, kind, cfg, seed, phase, e + 1, global_epoch)
-    if not records and resume_from is None:
+    if records:
+        return out_path, records
+    if resume_from is None:
         raise DomainError(f"framework '{kind}' has an empty phase schedule")
-    if resume_from is not None and start_pi >= len(sched):
-        # already finished; the source checkpoint is the result
-        return resume_from, records
-    return out_path, records
+    # already finished; the source checkpoint is the result
+    return resume_from, records

@@ -119,7 +119,7 @@ def test_c01_mask_margin_exactness(criterion):
         lattice = build_mask(4, 16, 0.5, rng)
         assert lattice.masked.sum(axis=1).tolist() == [8, 8, 8, 8]
         assert ((~lattice.masked).sum(axis=0) == 2).all()
-        assert lattice.n_unmasked_per_step == 8
+        assert lattice.unmasked_patches.shape[1] == 8
         assert lattice.series_len == 2
 
 

@@ -13,6 +13,7 @@ import pytest
 from civsf.errors import ConfigError, DataFormatError, DomainError, ShapeError
 from civsf.datamodel import load_container
 from civsf.harness import config as config_mod
+from civsf.harness import report
 from civsf.harness.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from civsf.harness.cli import cli
 from civsf.harness.config import Config
@@ -439,7 +440,15 @@ def test_cli_pipeline_artifacts(cli_dir, capsys):
     assert meta["task"] == "missing-image" and tensors
 
 
-def test_cli_evaluate_and_reference(cli_dir, capsys):
+# full-precision values the ci-vsf fixture's `evaluate` reports; a refactor of
+# the frozen encode and forecast paths must reproduce them up to float32
+# rounding (rtol 1e-5)
+EVALUATE_PINNED = {"recon": 0.3443509638309479, "all": 0.2837367318570614,
+                   "25 - 50 days": 0.10793701559305191, "50 - 100 days": 0.28273162618279457,
+                   "More than 100 days": 0.4615466594696045}
+
+
+def test_cli_evaluate_and_reference(cli_dir, capsys, monkeypatch):
     assert cli(["evaluate", "--reference"]) == 0
     out = capsys.readouterr().out
     for title in ("Soil Moisture Forecasting Downstream Task",
@@ -448,10 +457,23 @@ def test_cli_evaluate_and_reference(cli_dir, capsys):
         assert title in out
     assert REFERENCE_LABEL in out
 
+    rows = {}
+    table_set = report.ReportTable.set
+
+    def record(table, row, column, value):
+        rows[row] = value
+        table_set(table, row, column, value)
+
+    monkeypatch.setattr(report.ReportTable, "set", record)
     assert cli(["evaluate", "--data", cli_dir["data"], "--ckpt", cli_dir["ci"]]) == 0
     out = capsys.readouterr().out
     assert "reconstruction objective on test split" in out
     assert "Forecast MSE on test-split instances" in out
+    # the objective prints to 6 decimals, well inside rtol 1e-5 of its pin
+    cells = {"recon": float(out.splitlines()[0].split(": ")[1].split()[0]), **rows}
+    assert list(cells) == list(EVALUATE_PINNED)
+    for key, want in EVALUATE_PINNED.items():
+        assert cells[key] == pytest.approx(want, rel=1e-5), key
 
     # reconstruction-only models evaluate without the forecast table
     assert cli(["evaluate", "--data", cli_dir["data"], "--ckpt", cli_dir["mr"]]) == 0
@@ -522,11 +544,16 @@ def test_python_dash_m_civsf_runs_the_cli():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "civsf", "inspect-mask", "--t", "4",
-                           "--g", "16", "--ratio", "0.5"],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert "rows masked: [8, 8, 8, 8]" in done.stdout
+    for module in ("civsf", "civsf.harness.cli"):
+        run = lambda *argv: subprocess.run([sys.executable, "-m", module, *argv],
+                                           capture_output=True, text=True, env=env,
+                                           timeout=120)
+        done = run("inspect-mask", "--t", "4", "--g", "16", "--ratio", "0.5")
+        assert done.returncode == 0, (module, done.stderr)
+        assert all(len(row) == 16 and row.count("#") == 8
+                   for row in done.stdout.splitlines()[:4]), module
+        assert "rows masked: [8, 8, 8, 8]" in done.stdout, module
+        assert run("no-such-command").returncode == 2, module
 
 
 def test_cli_config_errors(capsys):

@@ -45,7 +45,7 @@ def test_fig3_case_counts():
     assert plan.masked.shape == (4, 16)
     assert np.all(plan.masked.sum(axis=1) == 8)   # 8 masked per timestamp
     assert np.all(plan.masked.sum(axis=0) == 2)   # each location loses 2 of 4
-    assert plan.n_unmasked_per_step == 8
+    assert plan.unmasked_patches.shape[1] == 8
     assert plan.series_len == 2                    # unmasked series per location
 
 
@@ -61,7 +61,7 @@ def test_zero_ratio_masks_nothing():
     plan = build_mask(5, 9, 0.0, np.random.default_rng(2))
     assert not plan.masked.any()
     assert plan.series_len == 5
-    assert plan.n_unmasked_per_step == 9
+    assert plan.unmasked_patches.shape[1] == 9
 
 
 @pytest.mark.parametrize("t,g,r", [(3, 4, 0.5), (4, 16, 0.3), (5, 10, 0.25), (7, 8, 0.5)])
@@ -130,7 +130,7 @@ def test_render_mask_ascii():
 
 def test_mask_plan_constructor_derives_from_masked():
     masked = np.array([[True, False], [False, True]])
-    plan = MaskPlan(2, 2, 0.5, masked, np.arange(2), np.arange(2))
+    plan = MaskPlan(2, 2, 0.5, masked)
     assert np.array_equal(plan.unmasked_patches, [[1], [0]])
     assert np.array_equal(plan.series_times, [[1], [0]])
 

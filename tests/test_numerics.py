@@ -366,7 +366,7 @@ def test_fused_lstm_matches_step_by_step_graph_bitwise(dtype, n):
     weights = rng.normal(size=(n, 365, 16)).astype(dtype)
 
     def run(lstm, steps, last_only):
-        for p in cell.parameters():
+        for _, p in cell.named_parameters():
             p.grad = None
         out = lstm(x, steps)
         w = weights[:, :out.shape[1]]
@@ -375,7 +375,7 @@ def test_fused_lstm_matches_step_by_step_graph_bitwise(dtype, n):
         else:
             loss = (out * Tensor(w)).sum()
         loss.backward()
-        return [out.data.tobytes()] + [p.grad.tobytes() for p in cell.parameters()]
+        return [out.data.tobytes()] + [p.grad.tobytes() for _, p in cell.named_parameters()]
 
     for steps, last_only in ((None, False), (200, False), (None, True)):
         assert run(cell, steps, last_only) == run(

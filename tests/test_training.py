@@ -23,7 +23,6 @@ from civsf.synthworld import WorldConfig, gen_dataset
 from civsf.training.model import FrameworkModel
 from civsf.training.pretrain import (
     EpochRecord,
-    _optim_step,
     _phase1a_batch,
     _phase1b_batch,
     _phase1c_batch,
@@ -120,9 +119,9 @@ def test_phase_params_subsets():
 
 def test_pools_match_brute_force(tiny_world):
     cfg = tiny_config()
-    imgs = image_pool(tiny_world)
+    imgs = image_pool(tiny_world, cfg)
     assert len(imgs) == sum(s.t_steps for s in tiny_world)
-    wins = window_pool(tiny_world, cfg.context_len)
+    wins = window_pool(tiny_world, cfg)
     assert len(wins) == sum(max(0, s.t_steps - cfg.context_len + 1) for s in tiny_world)
     p2 = phase2_window_pool(tiny_world, cfg)
     from civsf.datamodel import build_instances
@@ -286,7 +285,7 @@ def test_optim_step_rejects_nonfinite_loss():
     opt = optim.Adam([("p", p)], lr=0.1)
     bad = Tensor(np.array(np.inf, dtype=np.float32))
     with pytest.raises(NumericError, match="phase 1a at epoch 3"):
-        _optim_step(opt, bad, "1a", 3)
+        opt.minimize(bad, "phase 1a at epoch 3")
 
 
 def test_run_epoch_empty_pool_raises(tiny_world):
@@ -294,7 +293,7 @@ def test_run_epoch_empty_pool_raises(tiny_world):
     model = FrameworkModel("sm-mr", cfg, 0)
     opt = optim.Adam(model.phase_params("1c"), lr=cfg.lr)
     with pytest.raises(DomainError, match="no training items"):
-        run_epoch("1c", model, tiny_world, {"windows": []}, cfg, RngStream(0), opt, 0)
+        run_epoch("1c", model, tiny_world, [], cfg, RngStream(0), opt, 0)
 
 
 def test_run_epoch_unknown_phase(tiny_world):
@@ -302,7 +301,7 @@ def test_run_epoch_unknown_phase(tiny_world):
     model = FrameworkModel("sm-mr", cfg, 0)
     opt = optim.Adam(model.phase_params("1a"), lr=cfg.lr)
     with pytest.raises(DomainError, match="unknown phase"):
-        run_epoch("3", model, tiny_world, {}, cfg, RngStream(0), opt, 0)
+        run_epoch("3", model, tiny_world, [], cfg, RngStream(0), opt, 0)
 
 
 def test_mixed_start_doy_rejected(tiny_world):
