@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from civsf.errors import ConfigError, DataFormatError, DomainError, ShapeError
+from civsf.fileio import ByteReader, write_atomic
 
 MAGIC = b"CIVSFDS1"
 BANDS = 6
@@ -209,43 +210,21 @@ def save_container(path: str, samples: list[Sample]) -> int:
         if s.crops is not None:
             chunks.append(np.ascontiguousarray(s.crops, dtype="u1").tobytes())
     blob = b"".join(chunks)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    write_atomic(path, blob)
     return len(blob)
-
-
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise DataFormatError(
-                f"truncated container: needed {n} bytes for {what}, "
-                f"{len(self.blob) - self.pos} remain", offset=self.pos)
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def array(self, count: int, dtype: str, what: str) -> np.ndarray:
-        item = np.dtype(dtype).itemsize
-        return np.frombuffer(self.take(count * item, what), dtype=dtype).copy()
 
 
 def load_container(path: str) -> list[Sample]:
     """Read a container; raises DataFormatError (with byte offset) on malformed input."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    r = _Reader(blob)
+    r = ByteReader(path, "container")
     magic = r.take(8, "magic")
     if magic != MAGIC:
         raise DataFormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
-    (count,) = struct.unpack("<I", r.take(4, "sample count"))
+    (count,) = r.unpack("<I", "sample count")
     samples: list[Sample] = []
     for i in range(count):
         header_at = r.pos
-        t, side, length, start_doy, flags = struct.unpack("<HHHHB", r.take(9, f"sample {i} header"))
+        t, side, length, start_doy, flags = r.unpack("<HHHHB", f"sample {i} header")
         if flags & ~0b11:
             raise DataFormatError(f"sample {i}: unknown flag bits {flags:#x}", offset=header_at + 8)
         images = r.array(t * BANDS * side * side, "<f4",
@@ -257,6 +236,5 @@ def load_container(path: str) -> list[Sample]:
         crops = (r.array(side * side, "u1", f"sample {i} crops").reshape(side, side)
                  if flags & 2 else None)
         samples.append(Sample(images, doys, weather, int(start_doy), soil, crops))
-    if r.pos != len(blob):
-        raise DataFormatError(f"{len(blob) - r.pos} trailing bytes after last sample", offset=r.pos)
+    r.end()
     return samples

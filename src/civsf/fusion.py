@@ -42,13 +42,13 @@ class TemporalEncoder(nn.Module):
 
 
 def causal_temporal_encode(encoder: TemporalEncoder, fused: Tensor,
-                           plans: list[MaskPlan], full_grid: bool = False) -> Tensor:
+                           plans: list[MaskPlan]) -> Tensor:
     """Run the causal temporal transformer per location; regroup per timestamp.
 
     fused is (B, T, U, D) where the U axis is either the unmasked-slot order
-    (pixel-masked input, full_grid=False) or the whole patch grid
-    (embedding masking, full_grid=True; masked slots are skipped here, which
-    is what masks them). Output is always compact: (B, T, U', D) with
+    (pixel-masked input, U < G) or the whole patch grid (embedding masking,
+    U = G; masked slots are skipped here, which is what masks them). With mask
+    ratio 0 the two orders coincide. Output is always compact: (B, T, U', D) with
     U' = (1-r)*G, slot order given by each plan's unmasked_patches.
 
     Sequence order within a location is ascending timestamp; the causal keep
@@ -65,7 +65,7 @@ def causal_temporal_encode(encoder: TemporalEncoder, fused: Tensor,
 
     t_idx = np.stack([p.series_times for p in plans])      # (B, G, S)
     slot_idx = np.stack([p.series_slots for p in plans])   # (B, G, S)
-    if full_grid:
+    if u == g:
         gather_u = np.broadcast_to(np.arange(g)[None, :, None], t_idx.shape)
     else:
         gather_u = slot_idx

@@ -5,19 +5,23 @@ plain-text "key: value" lines sorted by key; u32 tensor count; per tensor a
 table entry (u16 name length, name bytes, u8 dtype tag, u8 rank, u32 extents,
 u64 offset into the data section); then the raw data section. All tensors are
 stored single precision (tag 0). Entries are sorted by name and offsets are
-assigned in that order, so save -> load -> save is byte-identical.
+assigned in that order, so save -> load -> save is byte-identical; load
+rejects offsets that leave a gap or overlap and bytes after the last tensor.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
 from civsf.errors import DataFormatError
+from civsf.fileio import ByteReader, write_atomic
 
 MAGIC = b"CIVSFCK1"
 _DTYPES = {0: np.dtype("<f4")}
+MAX_RANK = 32   # the most dimensions every supported numpy version allows
 
 
 def save_checkpoint(path: str, tensors: dict[str, np.ndarray],
@@ -49,62 +53,44 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray],
     out = [MAGIC, struct.pack("<I", len(meta_blob)), meta_blob,
            struct.pack("<I", len(names))] + table + blobs
     blob = b"".join(out)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    write_atomic(path, blob)
     return len(blob)
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    pos = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal pos
-        if pos + n > len(blob):
-            raise DataFormatError(f"truncated checkpoint: needed {n} bytes for {what}", offset=pos)
-        out = blob[pos:pos + n]
-        pos += n
-        return out
-
-    def text(n: int, what: str) -> str:
-        at = pos
-        raw = take(n, what)
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise DataFormatError(f"{what} is not UTF-8", offset=at + e.start) from None
-
-    if take(8, "magic") != MAGIC:
+    r = ByteReader(path, "checkpoint")
+    if r.take(8, "magic") != MAGIC:
         raise DataFormatError(f"bad checkpoint magic in {path}", offset=0)
-    (meta_len,) = struct.unpack("<I", take(4, "metadata length"))
+    (meta_len,) = r.unpack("<I", "metadata length")
     meta: dict[str, str] = {}
-    for line in text(meta_len, "metadata").splitlines():
+    for line in r.text(meta_len, "metadata").splitlines():
         key, _, value = line.partition(": ")
         meta[key] = value
-    (count,) = struct.unpack("<I", take(4, "tensor count"))
+    (count,) = r.unpack("<I", "tensor count")
 
-    entries = []
+    entries: dict[str, tuple[np.dtype, tuple[int, ...]]] = {}
+    data_end = 0
     for i in range(count):
-        (name_len,) = struct.unpack("<H", take(2, f"entry {i} name length"))
-        name = text(name_len, f"entry {i} name")
-        tag, rank = struct.unpack("<BB", take(2, f"entry {i} dtype/rank"))
+        (name_len,) = r.unpack("<H", f"entry {i} name length")
+        name = r.text(name_len, f"entry {i} name")
+        tag, rank = r.unpack("<BB", f"entry {i} dtype/rank")
         if tag not in _DTYPES:
-            raise DataFormatError(f"unknown dtype tag {tag} for tensor '{name}'", offset=pos - 2)
-        shape = struct.unpack(f"<{rank}I", take(4 * rank, f"entry {i} extents")) if rank else ()
-        (offset,) = struct.unpack("<Q", take(8, f"entry {i} offset"))
-        entries.append((name, tag, shape, offset))
+            raise DataFormatError(f"unknown dtype tag {tag} for tensor '{name}'", offset=r.pos - 2)
+        if rank > MAX_RANK:
+            raise DataFormatError(f"tensor '{name}' has rank {rank} > {MAX_RANK}",
+                                  offset=r.pos - 1)
+        shape = r.unpack(f"<{rank}I", f"entry {i} extents")
+        (offset,) = r.unpack("<Q", f"entry {i} offset")
+        if offset != data_end:
+            raise DataFormatError(f"tensor '{name}' at data offset {offset}, expected "
+                                  f"{data_end}", offset=r.pos - 8)
+        if name in entries:
+            raise DataFormatError(f"duplicate tensor name '{name}'", offset=r.pos - 8)
+        entries[name] = (_DTYPES[tag], shape)
+        data_end += math.prod(shape) * _DTYPES[tag].itemsize
 
-    data_start = pos
-    tensors: dict[str, np.ndarray] = {}
-    for name, tag, shape, offset in entries:
-        dt = _DTYPES[tag]
-        n_bytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize if shape else dt.itemsize
-        at = data_start + offset
-        if at + n_bytes > len(blob):
-            raise DataFormatError(f"tensor '{name}' extends past end of file", offset=at)
-        if name in tensors:
-            raise DataFormatError(f"duplicate tensor name '{name}'", offset=at)
-        arr = np.frombuffer(blob[at:at + n_bytes], dtype=dt)
-        tensors[name] = arr.reshape(shape).copy()
+    # the data section holds the tensors back to back, in table order
+    tensors = {name: r.array(math.prod(shape), dt, f"tensor '{name}'").reshape(shape)
+               for name, (dt, shape) in entries.items()}
+    r.end()
     return tensors, meta

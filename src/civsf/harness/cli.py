@@ -18,6 +18,7 @@ from civsf.datamodel import load_container, split, stack_windows, windows_of
 from civsf.encoders import unpatchify
 from civsf.errors import (CompatibilityError, ConfigError, DataFormatError,
                           DomainError, NumericError, ShapeError)
+from civsf.fileio import write_atomic
 from civsf.harness import config as config_mod
 from civsf.harness import report
 from civsf.harness.config import FRAMEWORKS, Config
@@ -36,29 +37,16 @@ def _overrides(args) -> dict[str, str]:
         out[key.strip()] = value.strip()
     if getattr(args, "framework", None):
         out["framework"] = args.framework
-    if getattr(args, "seed", None) is not None:
-        out["seed"] = str(args.seed)
     return out
 
 
 def _load_cfg(args) -> Config:
     ov = _overrides(args)
+    if args.seed is not None:
+        ov["seed"] = str(args.seed)
     if getattr(args, "config", None):
         return config_mod.from_file(args.config, ov)
     return config_mod.from_overrides(ov)
-
-
-def _load_data(path: str):
-    if not path or not os.path.exists(path):
-        raise DataFormatError(f"dataset not found: {path!r}")
-    return load_container(path)
-
-
-def _ckpt_model(path: str):
-    from civsf.training.pretrain import load_model
-    if not path or not os.path.exists(path):
-        raise DataFormatError(f"checkpoint not found: {path!r}")
-    return load_model(path)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -78,7 +66,7 @@ def cmd_gen_data(args) -> int:
 def cmd_pretrain(args) -> int:
     from civsf.training.pretrain import run_framework
     cfg = _load_cfg(args)
-    samples = _load_data(args.data)
+    samples = load_container(args.data)
     train_idx, _, _ = split(len(samples), (cfg.train_frac, cfg.val_frac, cfg.test_frac),
                             cfg.seed)
     train = [samples[i] for i in train_idx]
@@ -107,9 +95,14 @@ _FT_TASKS = {
 def cmd_finetune(args) -> int:
     from civsf.harness.checkpoint import save_checkpoint
     from civsf.training import finetune as ft
-    model, cfg, _ = _ckpt_model(args.ckpt)
-    cfg = dataclasses.replace(cfg, **config_mod.parse_pairs(_overrides(args)))
-    samples = _load_data(args.data)
+    from civsf.training.pretrain import load_model
+    model, cfg, _ = load_model(args.ckpt)
+    ov = _overrides(args)
+    if "seed" in ov:
+        raise ConfigError("finetune keeps the checkpoint's seed, which fixes the train/test "
+                          "split; --seed chooses the fine-tune's own draws")
+    cfg = dataclasses.replace(cfg, **config_mod.parse_pairs(ov))
+    samples = load_container(args.data)
     seed = cfg.seed if args.seed is None else args.seed
     fn_name, kwargs, metric = _FT_TASKS[args.task]
     result = getattr(ft, fn_name)(model, samples, cfg, seed, **kwargs)
@@ -120,10 +113,8 @@ def cmd_finetune(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         tag = f"{args.task}-{model.kind}-seed{seed}"
-        with open(os.path.join(args.out, f"{tag}.txt"), "w") as fh:
-            fh.write(table.render_text())
-        with open(os.path.join(args.out, f"{tag}.csv"), "w") as fh:
-            fh.write(table.render_csv())
+        write_atomic(os.path.join(args.out, f"{tag}.txt"), table.render_text().encode("utf-8"))
+        write_atomic(os.path.join(args.out, f"{tag}.csv"), table.render_csv().encode("utf-8"))
         if result.head_state:
             save_checkpoint(os.path.join(args.out, f"{tag}-head.ckpt"),
                             result.head_state,
@@ -137,10 +128,12 @@ def cmd_evaluate(args) -> int:
         for table in report.render_reference_tables():
             print(table.render_text())
         return 0
+    if not (args.ckpt and args.data):
+        raise ConfigError("evaluate needs --ckpt and --data, or --reference")
     from civsf.training import finetune as ft
-    from civsf.training.pretrain import reconstruction_objective
-    model, cfg, _ = _ckpt_model(args.ckpt)
-    samples = _load_data(args.data)
+    from civsf.training.pretrain import load_model, reconstruction_objective
+    model, cfg, _ = load_model(args.ckpt)
+    samples = load_container(args.data)
     _, _, test_idx = split(len(samples), (cfg.train_frac, cfg.val_frac, cfg.test_frac),
                            cfg.seed)
     stream = RngStream(cfg.seed)
@@ -166,8 +159,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    model, cfg, _ = _ckpt_model(args.ckpt)
-    samples = _load_data(args.data)
+    from civsf.training.pretrain import load_model
+    model, cfg, _ = load_model(args.ckpt)
+    samples = load_container(args.data)
     if not 0 <= args.sample < len(samples):
         raise DomainError(f"sample index {args.sample} outside [0, {len(samples)})")
     s = samples[args.sample]
@@ -260,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         if data:
             p.add_argument("--data", required=True, help="dataset container path")
         if ckpt:
-            p.add_argument("--ckpt", help="checkpoint path")
+            p.add_argument("--ckpt", required=True, help="checkpoint path")
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset container")
     common(p)
@@ -282,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_finetune)
 
     p = sub.add_parser("evaluate", help="frozen-model diagnostics or reference tables")
-    common(p, data=False, ckpt=True)
+    common(p)
+    p.add_argument("--ckpt", help="checkpoint path")
     p.add_argument("--data", help="dataset container path")
     p.add_argument("--reference", action="store_true",
                    help="print the published reference tables and exit")

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from civsf.errors import DataFormatError, DomainError
+from civsf.fileio import ByteReader, write_atomic
 
 # B4, B3, B2 band positions in the stored channel order (B2,B3,B4,B8,B9,B12)
 DEFAULT_BANDS = (2, 1, 0)
+
+# "P6", then width, height and maxval, each after whitespace or comment lines,
+# then one whitespace byte before the payload; at most 9 digits per field
+_GAP = rb"(?:\s|#[^\n]*\n)+"
+_HEADER = re.compile(rb"P6" + _GAP + rb"(\d{1,9})" + _GAP + rb"(\d{1,9})" + _GAP
+                     + rb"(\d{1,9})\s")
 
 
 def stretch(channel: np.ndarray, lo_pct: float = 2.0, hi_pct: float = 98.0) -> np.ndarray:
@@ -38,39 +47,21 @@ def write_ppm(path: str, image: np.ndarray, bands: tuple[int, int, int] = DEFAUL
     rgb = compose(image, bands)
     h, w, _ = rgb.shape
     note = f"# config: {config_hash} seed: {seed}\n" if config_hash else ""
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{note}{w} {h}\n255\n".encode("ascii"))
-        fh.write(rgb.tobytes())
+    write_atomic(path, f"P6\n{note}{w} {h}\n255\n".encode("ascii") + rgb.tobytes())
 
 
 def read_ppm(path: str) -> np.ndarray:
     """Parse a binary P6 file back to (H, W, 3) uint8."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(b"P6"):
+    r = ByteReader(path, "PPM")
+    if not r.blob.startswith(b"P6"):
         raise DataFormatError(f"{path} is not a binary PPM", offset=0)
-    pos = 2
-    fields = []
-    while len(fields) < 3:
-        if pos >= len(blob):
-            raise DataFormatError("truncated PPM header", offset=pos)
-        ch = blob[pos:pos + 1]
-        if ch == b"#":
-            pos = blob.index(b"\n", pos) + 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(blob) and not blob[end:end + 1].isspace():
-                end += 1
-            fields.append(int(blob[pos:end]))
-            pos = end
-    pos += 1  # single whitespace byte after maxval
-    w, h, maxval = fields
+    header = _HEADER.match(r.blob)
+    if header is None:
+        raise DataFormatError(f"{path} has a malformed PPM header", offset=0)
+    w, h, maxval = (int(field) for field in header.groups())
     if maxval != 255:
-        raise DataFormatError(f"unsupported maxval {maxval}", offset=pos)
-    need = w * h * 3
-    data = blob[pos:pos + need]
-    if len(data) != need:
-        raise DataFormatError(f"PPM payload has {len(data)} of {need} bytes", offset=pos)
-    return np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3)
+        raise DataFormatError(f"unsupported maxval {maxval}", offset=header.start(3))
+    r.take(header.end(), "header")
+    rgb = r.array(w * h * 3, "u1", "payload").reshape(h, w, 3)
+    r.end()
+    return rgb

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from civsf.errors import DomainError
+from civsf.fileio import write_atomic
 from civsf.harness.metrics import BUCKET_LABELS
 
 REFERENCE_LABEL = "paper reference — not reproduced"
@@ -33,13 +34,6 @@ class ReportTable:
             self._rows[row] = {}
             self._order.append(row)
         self._rows[row][column] = value if isinstance(value, str) else f"{value:.4f}"
-
-    def get(self, row: str, column: str) -> str:
-        return self._rows[row][column]
-
-    @property
-    def rows(self) -> list[str]:
-        return list(self._order)
 
     def _meta_lines(self, prefix: str) -> list[str]:
         return [f"{prefix} {k}: {v}" for k, v in self.meta.items()]
@@ -87,11 +81,9 @@ def _metric_key(key: str):
 
 def write_log(path: str, records, config_hash: str, seed: int) -> None:
     """Per-epoch CSV: epoch,phase,framework,loss,seconds."""
-    with open(path, "w") as fh:
-        fh.write(f"# config: {config_hash}\n# seed: {seed}\n")
-        fh.write("epoch,phase,framework,loss,seconds\n")
-        for r in records:
-            fh.write(f"{r.epoch},{r.phase},{r.framework},{r.loss:.10g},{r.seconds:.3f}\n")
+    lines = [f"# config: {config_hash}", f"# seed: {seed}", "epoch,phase,framework,loss,seconds"]
+    lines += [f"{r.epoch},{r.phase},{r.framework},{r.loss:.10g},{r.seconds:.3f}" for r in records]
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 # -- published reference numbers ---------------------------------------------------

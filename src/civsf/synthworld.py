@@ -20,6 +20,7 @@ import numpy as np
 
 from civsf.datamodel import Sample, save_container
 from civsf.errors import DomainError
+from civsf.fileio import write_atomic
 from civsf.numerics.rng import RngStream
 
 # band order: B2, B3, B4, B8, B9, B12
@@ -256,10 +257,8 @@ def gen_dataset(n: int, world: WorldConfig, seed: int,
                for i in range(n)]
     if path is not None:
         save_container(path, samples)
-        with open(path + ".world.txt", "w") as fh:
-            fh.write(f"samples = {n}\nseed = {seed}\n")
-            fh.write("region_rule = index mod n_regions\n")
-            fh.write(world.describe() + "\n")
-            if config_note:
-                fh.write(config_note + "\n")
+        note = f"{config_note}\n" if config_note else ""
+        write_atomic(path + ".world.txt",
+                     (f"samples = {n}\nseed = {seed}\nregion_rule = index mod n_regions\n"
+                      f"{world.describe()}\n{note}").encode("utf-8"))
     return samples

@@ -121,8 +121,7 @@ class FrameworkModel(nn.Module):
         """Full encode path to compact Emb_STW (B, T, U, D)."""
         fused = self.fuse_series(patchify(images, self.enc.patch), doys, weather_h, start_doy,
                                  plans, mask_pixels)
-        return causal_temporal_encode(self.temporal, fused, plans,
-                                      full_grid=not mask_pixels)
+        return causal_temporal_encode(self.temporal, fused, plans)
 
     def frozen_weather(self, weather: np.ndarray, steps: int | None = None
                        ) -> np.ndarray | None:

@@ -138,7 +138,7 @@ def _phase1c_batch(model: FrameworkModel, samples, rows, cfg: Config, rng):
     # the ViT sees every patch; the plans mask embeddings at the temporal stage
     patches = patchify(imgs, model.enc.patch)
     fused = model.fuse_series(patches, doys, weather_h, start, plans, mask_pixels=False)
-    emb = causal_temporal_encode(model.temporal, fused, plans, full_grid=True)
+    emb = causal_temporal_encode(model.temporal, fused, plans)
 
     grid_idx = np.stack([p.unmasked_patches for p in plans])       # (B, C, U)
     pred = model.decoder(repopulate(emb, grid_idx, g))             # (B, C, G, P)

@@ -80,22 +80,22 @@ def test_temporal_encode_skips_masked_timestamps():
     t, g = 4, 16
     plan = build_mask(t, g, 0.5, np.random.default_rng(8))
     fused = rng.normal(size=(1, t, g, 8)).astype(np.float32)
-    base = causal_temporal_encode(enc, Tensor(fused), [plan], full_grid=True).data
+    base = causal_temporal_encode(enc, Tensor(fused), [plan]).data
     poisoned = fused.copy()
     poisoned[0][plan.masked] = 1e6
-    out = causal_temporal_encode(enc, Tensor(poisoned), [plan], full_grid=True).data
+    out = causal_temporal_encode(enc, Tensor(poisoned), [plan]).data
     assert np.array_equal(out, base)
 
 
 def test_temporal_encode_compact_output_layout():
-    """full_grid output is compact (slot order per plan): slot s of timestamp t
+    """Whole-grid input gives compact output (slot order per plan): slot s of timestamp t
     holds location unmasked_patches[t, s]'s encoding at that timestamp."""
     enc = make_encoder(seed=9)
     rng = np.random.default_rng(10)
     t, g = 4, 8
     plan = build_mask(t, g, 0.5, np.random.default_rng(11))
     fused = rng.normal(size=(1, t, g, 8)).astype(np.float32)
-    out = causal_temporal_encode(enc, Tensor(fused), [plan], full_grid=True).data
+    out = causal_temporal_encode(enc, Tensor(fused), [plan]).data
     assert out.shape == (1, t, 4, 8)
 
     # oracle: run each location's sequence alone through the same blocks
@@ -118,7 +118,7 @@ def test_temporal_encode_batch_requires_equal_series_len():
     p2 = trivial_plans(4, 16, 1)[0]
     fused = Tensor(np.zeros((2, 4, 16, 8), dtype=np.float32))
     with pytest.raises(ShapeError, match="series lengths"):
-        causal_temporal_encode(enc, fused, [p1, p2], full_grid=True)
+        causal_temporal_encode(enc, fused, [p1, p2])
 
 
 def test_temporal_encode_plan_count_mismatch():

@@ -1,6 +1,7 @@
 """Run configuration, checkpoint container, metrics, report tables, PPM
 emission, and the CLI's exit-code contract."""
 
+import dataclasses
 import os
 import struct
 import subprocess
@@ -266,9 +267,6 @@ def test_report_table_cells_and_render():
     t.set("row1", "A", 0.12345)
     t.set("row1", "B", "n/a")
     t.set("row2", "B", 1.0)
-    assert t.get("row1", "A") == "0.1235"  # floats format to 4 decimals
-    assert t.get("row1", "B") == "n/a"
-    assert t.rows == ["row1", "row2"]
     with pytest.raises(DomainError, match="unknown column"):
         t.set("row1", "C", 1.0)
     text = t.render_text()
@@ -281,18 +279,25 @@ def test_report_table_cells_and_render():
     assert "  -" in lines[5]  # missing cell renders as a dash
     csv = t.render_csv()
     assert csv.splitlines()[2] == "metric,row,A,B"
-    assert csv.splitlines()[3] == "MAE,row1,0.1235,n/a"
+    assert csv.splitlines()[3] == "MAE,row1,0.1235,n/a"  # floats format to 4 decimals
     assert csv.splitlines()[4] == "MAE,row2,,1.0000"
 
 
 def test_from_metrics_orders_all_then_buckets():
     metrics = {"mse/50 - 100 days": 3.0, "mse/all": 1.0, "mse/0 - 25 days": 2.0}
     t = from_metrics("Future", "MSE", "ci-vsf", metrics, "abc", 7)
-    assert t.rows == ["all", "0 - 25 days", "50 - 100 days"]
-    assert t.get("all", "ci-vsf") == "1.0000"
+    assert t.render_csv().splitlines()[4:] == ["MSE,all,1.0000", "MSE,0 - 25 days,2.0000",
+                                               "MSE,50 - 100 days,3.0000"]
     assert t.meta == {"config": "abc", "seed": "7"}
     single = from_metrics("Crop", "F1", "sm-mr", {"macro_f1": 0.5}, "abc", 7)
-    assert single.rows == ["macro_f1"]
+    assert single.render_csv().splitlines()[4:] == ["F1,macro_f1,0.5000"]
+
+
+def csv_cell(table, row: str, column: str) -> str:
+    """One cell read back from the table's CSV rendering."""
+    header, *body = [line.split(",") for line in table.render_csv().splitlines()
+                     if not line.startswith("#")]
+    return next(line for line in body if line[1] == row)[header.index(column)]
 
 
 def test_log_roundtrip(tmp_path):
@@ -313,18 +318,18 @@ def test_reference_tables_pin_published_cells():
     assert REFERENCE_LABEL == "paper reference — not reproduced"
     by_title = {t.title: t for t in tables}
     soil = by_title["Soil Moisture Forecasting Downstream Task"]
-    assert soil.get("0 - 25 days", "CI-VSF") == "0.0179"
-    assert soil.get("More than 100 days", "SM-VSF") == "0.0678"
+    assert csv_cell(soil, "0 - 25 days", "CI-VSF") == "0.0179"
+    assert csv_cell(soil, "More than 100 days", "SM-VSF") == "0.0678"
     est = by_title["Soil Moisture Prediction Finetuned Models"]
-    assert est.get("All", "CI-VSF") == "0.0282"
-    assert est.get("T15TUH", "MM-MR") == "0.1365"
+    assert csv_cell(est, "All", "CI-VSF") == "0.0282"
+    assert csv_cell(est, "T15TUH", "MM-MR") == "0.1365"
     crop = by_title["2019 Test 11 class average F1 Scores"]
-    assert crop.get("Average", "SM-MR") == "0.5331"
+    assert csv_cell(crop, "Average", "SM-MR") == "0.5331"
     missing = by_title["Missing Image Prediction Finetuned Models"]
-    assert missing.get("50%", "SM-VSF") == "362.02"
-    assert missing.get("90%", "CI-VSF") == "343.88"
+    assert csv_cell(missing, "50%", "SM-VSF") == "362.02"
+    assert csv_cell(missing, "90%", "CI-VSF") == "343.88"
     future = by_title["Image Forecasting Downstream Task"]
-    assert future.get("More than 100 days", "CI-VSF") == "457.27"
+    assert csv_cell(future, "More than 100 days", "CI-VSF") == "457.27"
 
 
 # -- ppm ------------------------------------------------------------------------------
@@ -438,6 +443,38 @@ def test_cli_pipeline_artifacts(cli_dir, capsys):
     assert os.path.exists(f"{ft_out}/missing-ci-vsf-seed0-head.ckpt")
     tensors, meta = load_checkpoint(f"{ft_out}/missing-ci-vsf-seed0-head.ckpt")
     assert meta["task"] == "missing-image" and tensors
+
+
+def test_cli_finetune_seed_keeps_the_checkpoints_split(cli_dir, capsys, monkeypatch):
+    """--seed picks the fine-tune's draws; the split stays the checkpoint's."""
+    from civsf.training import finetune as ft
+    from civsf.training.pretrain import load_model
+    results, real = [], ft.finetune_missing
+
+    def recorded(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(ft, "finetune_missing", recorded)
+    out = str(cli_dir["root"] / "ft-seed7")
+    assert cli(["finetune", "--data", cli_dir["data"], "--ckpt", cli_dir["ci"],
+                "--task", "missing", "--seed", "7", "--out", out] + sets()) == 0
+    monkeypatch.undo()
+    _, meta = load_checkpoint(cli_dir["ci"])
+    csv = open(f"{out}/missing-ci-vsf-seed7.csv").read().splitlines()
+    assert csv[1:3] == [f"# config: {meta['config_hash']}", "# seed: 7"]
+
+    model, cfg, _ = load_model(cli_dir["ci"])
+    cfg = dataclasses.replace(cfg, **config_mod.parse_pairs(
+        dict(kv.split("=", 1) for kv in BASE_SET)))
+    direct = ft.finetune_missing(model, load_container(cli_dir["data"]), cfg, 7)
+    assert results[0].metrics == direct.metrics
+
+    # no other route moves the split either
+    capsys.readouterr()
+    assert cli(["finetune", "--data", cli_dir["data"], "--ckpt", cli_dir["ci"],
+                "--task", "missing", "--set", "seed=7"] + sets()) == 2
+    assert "keeps the checkpoint's seed" in capsys.readouterr().err
 
 
 # full-precision values the ci-vsf fixture's `evaluate` reports; a refactor of
@@ -569,14 +606,21 @@ def test_cli_argparse_errors(capsys):
     assert cli([]) == 2                       # no subcommand
     assert cli(["pretrain"]) == 2             # missing required arguments
     assert cli(["finetune", "--data", "d", "--ckpt", "c", "--task", "poetry"]) == 2
+    assert cli(["finetune", "--data", "d", "--task", "missing"]) == 2   # no --ckpt
     capsys.readouterr()
+    # evaluate needs a checkpoint and data unless it prints the reference tables
+    for argv in (["evaluate"], ["evaluate", "--ckpt", "c"], ["evaluate", "--data", "d"]):
+        assert cli(argv) == 2
+        assert "evaluate needs --ckpt and --data" in capsys.readouterr().err
 
 
 def test_cli_data_errors(cli_dir, capsys):
     assert cli(["pretrain", "--data", "/no/such.civsf", "--out", "/tmp/o"]
                + sets()) == 3
+    assert "/no/such.civsf" in capsys.readouterr().err
     assert cli(["finetune", "--data", cli_dir["data"], "--ckpt", "/no/such.ckpt",
                 "--task", "missing"]) == 3
+    assert "/no/such.ckpt" in capsys.readouterr().err
     assert cli(["forecast", "--data", cli_dir["data"], "--ckpt", cli_dir["ci"],
                 "--sample", "99", "--start", "0", "--target-doy", "150",
                 "--out", "/tmp/x.ppm"]) == 3
