@@ -30,7 +30,7 @@ from civsf.numerics.gradcheck import grad_check
 
 def _overrides(args) -> dict[str, str]:
     out: dict[str, str] = {}
-    for kv in getattr(args, "set", None) or []:
+    for kv in args.set or []:
         if "=" not in kv:
             raise ConfigError(f"--set expects key=value, got '{kv}'")
         key, value = kv.split("=", 1)
@@ -44,7 +44,7 @@ def _load_cfg(args) -> Config:
     ov = _overrides(args)
     if args.seed is not None:
         ov["seed"] = str(args.seed)
-    if getattr(args, "config", None):
+    if args.config:
         return config_mod.from_file(args.config, ov)
     return config_mod.from_overrides(ov)
 
@@ -159,6 +159,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_forecast(args) -> int:
+    from civsf.training.model import weather_at
     from civsf.training.pretrain import load_model
     model, cfg, _ = load_model(args.ckpt)
     samples = load_container(args.data)
@@ -174,9 +175,12 @@ def cmd_forecast(args) -> int:
     if model.forecaster is None:
         raise CompatibilityError(f"forecast needs a *-VSF checkpoint, got '{model.kind}'")
     imgs, doys, wx, start = stack_windows(samples, [(args.sample, args.start)], c)
+    target = np.array([args.target_doy])
     # the weather runs only up to the target day
     weather_h = model.frozen_weather(wx, steps=args.target_doy - start + 1)
-    femb = model.frozen_forecast(imgs, doys, weather_h, start, np.array([args.target_doy]))
+    emb = model.frozen_encode(imgs, doys, weather_h, start).data
+    w_t = None if weather_h is None else weather_at(weather_h, target - start)
+    femb = model.frozen_forecast(emb[:, -1], w_t, target, target - doys[:, -1])
     with no_grad():
         patches = model.decoder(Tensor(femb)).data
     img = unpatchify(patches[0], model.enc.side, model.enc.patch)
@@ -246,37 +250,40 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="civsf")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=False, ckpt=False):
-        p.add_argument("--config", help="config file of key = value lines")
+    def overrides(p, config=True):
+        if config:
+            p.add_argument("--config", help="config file of key = value lines")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config field")
         p.add_argument("--seed", type=int, default=None)
-        if data:
-            p.add_argument("--data", required=True, help="dataset container path")
-        if ckpt:
-            p.add_argument("--ckpt", required=True, help="checkpoint path")
+
+    def inputs(p):
+        p.add_argument("--data", required=True, help="dataset container path")
+        p.add_argument("--ckpt", required=True, help="checkpoint path")
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset container")
-    common(p)
+    overrides(p)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("pretrain", help="pretrain one framework")
-    common(p, data=True)
+    overrides(p)
+    p.add_argument("--data", required=True, help="dataset container path")
     p.add_argument("--framework", choices=FRAMEWORKS)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--resume", help="resume from this checkpoint")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(fn=cmd_pretrain)
 
+    # finetune starts from the checkpoint's config, so it reads no config file
     p = sub.add_parser("finetune", help="fine-tune a downstream head")
-    common(p, data=True, ckpt=True)
+    overrides(p, config=False)
+    inputs(p)
     p.add_argument("--task", choices=_FT_TASKS, required=True)
     p.add_argument("--out", help="directory for tables and head weights")
     p.set_defaults(fn=cmd_finetune)
 
     p = sub.add_parser("evaluate", help="frozen-model diagnostics or reference tables")
-    common(p)
     p.add_argument("--ckpt", help="checkpoint path")
     p.add_argument("--data", help="dataset container path")
     p.add_argument("--reference", action="store_true",
@@ -284,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("forecast", help="decode one forecast to a PPM composite")
-    common(p, data=True, ckpt=True)
+    inputs(p)
     p.add_argument("--sample", type=int, required=True)
     p.add_argument("--start", type=int, default=0, help="context window start index")
     p.add_argument("--target-doy", type=int, required=True)

@@ -3,7 +3,10 @@
 Every procedure freezes the pretrained encoder, so the expensive encode runs
 once per dataset under no_grad and heads train against cached embeddings.
 The weather LSTM runs once per location and fine-tune (weather_states);
-each window gathers its rows of those states.
+each window gathers its rows of those states. The encoder runs once per
+distinct context window and fine-tune (_encode_once), keeping only what the
+task reads: cross-region folds and forecast instances that share a window
+share its row.
 Forecast-flavored heads (soil forecast, future image) require a *-VSF
 checkpoint; reconstruction and estimation heads accept all four kinds.
 """
@@ -21,7 +24,7 @@ from civsf.errors import CompatibilityError, DomainError, ShapeError
 from civsf.harness.config import Config
 from civsf.harness.metrics import bucket_means, macro_f1, mse
 from civsf.numerics import RngStream, Tensor, log_softmax, nn, no_grad, optim, softmax
-from civsf.training.model import FrameworkModel, uses_forecaster
+from civsf.training.model import FrameworkModel, uses_forecaster, weather_at
 
 
 @dataclass
@@ -155,29 +158,48 @@ def weather_states(model: FrameworkModel, samples: list[Sample], idxs, cfg: Conf
     return out
 
 
+def _chunked(n: int, cfg: Config, fn) -> tuple[np.ndarray, ...]:
+    """Run fn on each ft_batch slice of n items; each array of the tuple it
+    returns is concatenated across slices."""
+    outs = [fn(slice(lo, lo + cfg.ft_batch)) for lo in range(0, n, cfg.ft_batch)]
+    return tuple(np.concatenate(parts) for parts in zip(*outs))
+
+
 def _frozen_pass(samples: list[Sample], states: dict[int, np.ndarray] | None, rows,
                  length: int, cfg: Config, fn) -> tuple[np.ndarray, ...]:
     """Run fn on each ft_batch chunk of (sample, start) rows.
 
-    fn(take, images, doys, states, start) gets the chunk's slice of rows,
-    its stacked windows of the given length, the weather_states of each
-    row's sample (B, L, D) or None, and the start DOY they share; it returns
-    a tuple of arrays, and each is concatenated across chunks.
+    fn(images, doys, states, start) gets the chunk's stacked windows of the
+    given length, the weather_states of each row's sample (B, L, D) or None,
+    and the start DOY they share; it returns a tuple of arrays, and each is
+    concatenated across chunks.
     """
-    outs = []
-    for lo in range(0, len(rows), cfg.ft_batch):
-        take = slice(lo, lo + cfg.ft_batch)
+    def chunk(take):
         imgs, doys, _, start = stack_windows(samples, rows[take], length)
         h = None if states is None else np.stack([states[si] for si, _ in rows[take]])
-        outs.append(fn(take, imgs, doys, h, start))
-    return tuple(np.concatenate(parts) for parts in zip(*outs))
+        return fn(imgs, doys, h, start)
+    return _chunked(len(rows), cfg, chunk)
 
 
-def _embed_windows(model: FrameworkModel, samples, states, windows, length, cfg) -> np.ndarray:
-    """Frozen encode of windows -> Emb_STW (N, T, G, D)."""
-    def embed(take, imgs, doys, h, start):
-        return (model.frozen_encode(imgs, doys, h, start)[0].data,)
+def _embed_windows(model: FrameworkModel, samples, states, windows, length, cfg,
+                   keep=lambda emb: emb) -> np.ndarray:
+    """Frozen encode of windows -> keep(Emb_STW) of each chunk, concatenated;
+    by default Emb_STW itself (N, T, G, D)."""
+    def embed(imgs, doys, h, start):
+        return (keep(model.frozen_encode(imgs, doys, h, start).data),)
     return _frozen_pass(samples, states, windows, length, cfg, embed)[0]
+
+
+def _encode_once(model: FrameworkModel, samples, states, windows, length, cfg,
+                 keep) -> tuple[np.ndarray, dict[tuple[int, int], int]]:
+    """_embed_windows of each distinct window of the list once, in the order
+    first listed, keeping only keep(Emb_STW) per window. Returns that cache
+    and each window's row in it. frozen_encode is row-invariant, so a
+    window's row is bitwise what any chunk that holds it would give."""
+    row: dict[tuple[int, int], int] = {}
+    for w in windows:
+        row.setdefault(w, len(row))
+    return _embed_windows(model, samples, states, list(row), length, cfg, keep), row
 
 
 def _fit(opt, n: int, epochs: int, cfg: Config, stream: RngStream, label: str,
@@ -252,11 +274,11 @@ def finetune_missing(model: FrameworkModel, samples: list[Sample], cfg: Config,
         two hit steps of each window, (N, 2, G, D) and (N, 2, G, P)."""
         rng = stream.generator(f"ft/missing/corrupt/{label}")
 
-        def hit(take, imgs, doys, h, start):
+        def hit(imgs, doys, h, start):
             corrupted, t_hit, _ = corrupt_series(imgs, model.enc.patch, cfg.missing_pct, rng)
-            emb, _ = model.frozen_encode(corrupted, doys, h, start)
+            emb = model.frozen_encode(corrupted, doys, h, start).data
             rows = np.arange(len(imgs))[:, None]
-            return emb.data[rows, t_hit], patchify(imgs, model.enc.patch)[rows, t_hit]
+            return emb[rows, t_hit], patchify(imgs, model.enc.patch)[rows, t_hit]
         return _frozen_pass(samples, states, windows, c, cfg, hit)
 
     hit_tr, truth_tr = prepare(tr_windows, "train")
@@ -292,19 +314,45 @@ def _targets(samples, insts: list[Instance]) -> tuple[np.ndarray, np.ndarray]:
             np.array([i.delta for i in insts]))
 
 
+def _instance_pass(model: FrameworkModel, samples, states, insts: list[Instance],
+                   cfg: Config, keep, fn) -> tuple[np.ndarray, ...]:
+    """Per-instance frozen work over windows encoded once.
+
+    Encodes each distinct window the instances start from once, keeping
+    keep(Emb_STW) of each (_encode_once), then runs fn(chunk, kept,
+    target_doys, deltas, weather_t) on each ft_batch chunk of instances:
+    kept holds the chunk's rows of that cache and weather_t the weather
+    state at each target, read from weather_states (None for kinds without
+    weather). Each array fn returns is concatenated across chunks.
+    """
+    cache, row = _encode_once(model, samples, states, _windows(insts), cfg.context_len,
+                              cfg, keep)
+
+    def chunk(take):
+        part = insts[take]
+        tgt_doy, deltas = _targets(samples, part)
+        w_t = None
+        if states is not None:
+            starts = np.array([int(samples[i.sample_idx].start_doy) for i in part])
+            w_t = weather_at([states[i.sample_idx] for i in part], tgt_doy - starts)
+        kept = cache[[row[(i.sample_idx, i.start)] for i in part]]
+        return fn(part, kept, tgt_doy, deltas, w_t)
+    return _chunked(len(insts), cfg, chunk)
+
+
 def forecast_cache(model: FrameworkModel, samples, states, insts: list[Instance],
                    cfg: Config) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frozen forecast embeddings for each instance's final (K-step) target,
-    given the weather_states of the instances' samples.
+    given the weather_states of the instances' samples; each window is
+    encoded once, and only its last timestep is kept.
 
     Returns (femb (N, G, D), truth patches (N, G, P), deltas (N,)).
     """
-    def forecast(take, imgs, doys, h, start):
-        tgt_doy, deltas = _targets(samples, insts[take])
-        tgt_img = np.stack([samples[i.sample_idx].images[i.target] for i in insts[take]])
-        return (model.frozen_forecast(imgs, doys, h, start, tgt_doy),
+    def forecast(chunk, last, tgt_doy, deltas, w_t):
+        tgt_img = np.stack([samples[i.sample_idx].images[i.target] for i in chunk])
+        return (model.frozen_forecast(last, w_t, tgt_doy, deltas),
                 patchify(tgt_img, model.enc.patch), deltas)
-    return _frozen_pass(samples, states, _windows(insts), cfg.context_len, cfg, forecast)
+    return _instance_pass(model, samples, states, insts, cfg, lambda emb: emb[:, -1], forecast)
 
 
 def forecast_mse(decoder, femb: np.ndarray, truth: np.ndarray,
@@ -337,25 +385,24 @@ def finetune_future_image(model: FrameworkModel, samples: list[Sample], cfg: Con
 
 def _soil_cache(model: FrameworkModel, samples, states, insts: list[Instance], cfg: Config):
     """Frozen constants for the soil head: z_const (N, D), soil context
-    series (N, C), targets (N,), deltas (N,)."""
+    series (N, C), targets (N,), deltas (N,). Each window is encoded once,
+    and only the patch mean of its last timestep is kept."""
     if any(samples[i.sample_idx].soil is None for i in insts):
         raise DomainError("soil fine-tune needs samples with a soil series")
     c = cfg.context_len
 
-    def constants(take, imgs, doys, h, start):
-        chunk = insts[take]
-        tgt_doy, deltas = _targets(samples, chunk)
-        emb, w_t = model.frozen_encode(imgs, doys, h, start, tgt_doy)
+    def constants(chunk, pooled, tgt_doy, deltas, w_t):
         with no_grad():
-            z = emb[:, -1].mean(axis=1) + model.doy(tgt_doy) + model.delta(deltas)
+            z = Tensor(pooled) + model.doy(tgt_doy) + model.delta(deltas)
             if w_t is not None:
-                z = z + w_t
+                z = z + Tensor(w_t)
         return (z.data,
                 np.stack([samples[i.sample_idx].soil[i.start:i.start + c] for i in chunk]),
                 np.array([float(samples[i.sample_idx].soil[i.target]) for i in chunk],
                          dtype=np.float32),
                 deltas)
-    return _frozen_pass(samples, states, _windows(insts), c, cfg, constants)
+    return _instance_pass(model, samples, states, insts, cfg,
+                          lambda emb: emb[:, -1].mean(axis=1), constants)
 
 
 def finetune_soil_forecast(model: FrameworkModel, samples: list[Sample], cfg: Config,
@@ -385,17 +432,6 @@ def region_of(sample_idx: int, n_regions: int) -> int:
     return sample_idx % n_regions
 
 
-def _estimate_cache(model, samples, states, windows, cfg):
-    c = cfg.context_len
-    for si, _ in windows:
-        if samples[si].soil is None:
-            raise DomainError("estimation fine-tune needs samples with a soil series")
-    emb = _embed_windows(model, samples, states, windows, c, cfg)
-    pooled = emb.mean(axis=2)                                   # (N, C, D)
-    truth = np.stack([samples[si].soil[s:s + c] for si, s in windows])
-    return pooled, truth.astype(np.float32)
-
-
 def finetune_estimate(model: FrameworkModel, samples: list[Sample], cfg: Config,
                       seed: int, protocol: str = "in-region") -> FinetuneResult:
     """In-region: train on the train split, score the test split overall and
@@ -413,19 +449,30 @@ def finetune_estimate(model: FrameworkModel, samples: list[Sample], cfg: Config,
                   for r in range(cfg.world_regions) if r in regions]
         if not splits:
             raise DomainError("cross-region estimation found no populated regions")
+    c = cfg.context_len
     folds = []
     for tag, suffix, tr_idx, te_idx in splits:
-        folds.append((tag, suffix, *_capped(windows_of(samples, tr_idx, cfg.context_len),
-                                            windows_of(samples, te_idx, cfg.context_len),
+        folds.append((tag, suffix, *_capped(windows_of(samples, tr_idx, c),
+                                            windows_of(samples, te_idx, c),
                                             cfg, stream, "estimate", suffix)))
-    states = weather_states(model, samples,
-                            [si for *_, tr_w, te_w in folds for si, _ in tr_w + te_w], cfg)
+    windows = [w for *_, tr_w, te_w in folds for w in tr_w + te_w]
+    if any(samples[si].soil is None for si, _ in windows):
+        raise DomainError("estimation fine-tune needs samples with a soil series")
+    states = weather_states(model, samples, [si for si, _ in windows], cfg)
+    # every fold's windows encoded once, pooled over patches: (W, C, D)
+    pooled, row = _encode_once(model, samples, states, windows, c, cfg,
+                               lambda emb: emb.mean(axis=2))
+
+    def gather(ws):
+        """Pooled embeddings (N, C, D) and soil truth (N, C) of windows."""
+        return (pooled[[row[w] for w in ws]],
+                np.stack([samples[si].soil[s:s + c] for si, s in ws]).astype(np.float32))
 
     metrics: dict[str, float] = {}
     losses: list[float] = []
     for tag, suffix, tr_w, te_w in folds:
-        pooled_tr, y_tr = _estimate_cache(model, samples, states, tr_w, cfg)
-        pooled_te, y_te = _estimate_cache(model, samples, states, te_w, cfg)
+        pooled_tr, y_tr = gather(tr_w)
+        pooled_te, y_te = gather(te_w)
         head = EstimateHead(model.enc.hidden, stream.generator(f"ft/estimate/{tag}/init"))
         opt = optim.adamw(head.named_parameters(), lr=cfg.ft_lr)
         losses += _fit(opt, len(tr_w), cfg.ft_epochs_estimate, cfg, stream,

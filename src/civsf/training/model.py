@@ -132,44 +132,49 @@ class FrameworkModel(nn.Module):
         return None if h is None else h.data
 
     def frozen_encode(self, images: np.ndarray, doys: np.ndarray,
-                      weather_h: np.ndarray | None, start_doy: int,
-                      target_doys: np.ndarray | None = None
-                      ) -> tuple[Tensor, Tensor | None]:
+                      weather_h: np.ndarray | None, start_doy: int) -> Tensor:
         """No-grad encode of whole windows, nothing masked.
 
         images (B, T, 6, H, H), doys (B, T), and weather_h (B, L, D), the
         frozen_weather states of each window's series from start_doy (None
-        for kinds without weather). Returns Emb_STW (B, T, G, D) and, when
-        target_doys (B,) is given, the weather state at each target (B, D),
-        which is None for kinds without weather.
+        for kinds without weather). Returns Emb_STW (B, T, G, D). A row's
+        embedding is bitwise the same whichever rows are encoded beside it,
+        so fine-tunes encode each distinct window once and gather its rows.
         """
         b, t = images.shape[:2]
         plans = trivial_plans(t, self.enc.grid, b)
         h = None
         if weather_h is not None:
-            last_day = int(np.max(doys if target_doys is None else target_doys))
+            last_day = int(np.max(doys))
             if last_day - start_doy + 1 > weather_h.shape[1]:
                 raise DomainError(f"doy {last_day} beyond the {weather_h.shape[1]} weather "
                                   f"states from {start_doy}")
             h = Tensor(weather_h)
         with no_grad():
-            emb = self.encode_series(images, doys, h, start_doy, plans, mask_pixels=True)
-            at_target = None
-            if h is not None and target_doys is not None:
-                at_target = h[np.arange(b), target_doys - start_doy]
-        return emb, at_target
+            return self.encode_series(images, doys, h, start_doy, plans, mask_pixels=True)
 
-    def frozen_forecast(self, images: np.ndarray, doys: np.ndarray,
-                        weather_h: np.ndarray | None, start_doy: int,
-                        target_doys: np.ndarray) -> np.ndarray:
-        """Forecast embeddings (B, G, D) from each window's last timestamp to
-        its target day, which may be any day after the window, observed or
-        not; the arguments are frozen_encode's."""
-        emb, w_t = self.frozen_encode(images, doys, weather_h, start_doy, target_doys)
+    def frozen_forecast(self, last_emb: np.ndarray, weather_t: np.ndarray | None,
+                        target_doys: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+        """Forecast embeddings (B, G, D) from the last-timestep Emb_STW
+        (B, G, D) of frozen_encode'd windows to target days (B,), which may be
+        any days after the windows, observed or not. deltas (B,) are the
+        target days minus each window's last DOY; weather_t (B, D) is the
+        weather state at each target, None for kinds without weather."""
         with no_grad():
-            femb = forecast_embed(self.forecaster, emb[:, -1], w_t, self.doy(target_doys),
-                                  self.delta(target_doys - doys[:, -1]))
+            femb = forecast_embed(self.forecaster, Tensor(last_emb),
+                                  None if weather_t is None else Tensor(weather_t),
+                                  self.doy(target_doys), self.delta(deltas))
         return femb.data
+
+
+def weather_at(states, offsets: np.ndarray) -> np.ndarray:
+    """The weather state (B, D) offsets[b] days after the first day of each
+    row's frozen_weather states (L_b, D); DomainError past their end."""
+    for h, k in zip(states, offsets):
+        if k >= len(h):
+            raise DomainError(f"target {k} days after the weather start is beyond its "
+                              f"{len(h)} states")
+    return np.stack([h[k] for h, k in zip(states, offsets)])
 
 
 def trivial_plans(t_steps: int, g_patches: int, n: int) -> list[MaskPlan]:

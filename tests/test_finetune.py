@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from civsf.datamodel import Sample
+from civsf.datamodel import Sample, instances_of
 from civsf.encoders import patchify
 from civsf.errors import CompatibilityError, DomainError, NumericError
 from civsf.harness.config import Config
@@ -24,7 +24,9 @@ from civsf.training.finetune import (
     finetune_future_image,
     finetune_missing,
     finetune_soil_forecast,
+    forecast_cache,
     region_of,
+    weather_states,
 )
 from civsf.training.model import FrameworkModel
 
@@ -290,6 +292,45 @@ def test_nonfinite_loss_names_task_and_epoch(world):
     nan_soil = [dataclasses.replace(s, soil=np.full_like(s.soil, np.nan)) for s in world]
     with pytest.raises(NumericError, match="non-finite loss in estimation fine-tuning at epoch 0"):
         finetune_estimate(model, nan_soil, cfg, seed=9)
+
+
+def test_fine_tunes_encode_each_window_once(world, monkeypatch):
+    """Cross-region folds and forecast instances that share a context window
+    share its one frozen encode."""
+    encoded = []
+    real = FrameworkModel.frozen_encode
+
+    def recording(self, images, doys, weather_h, start_doy):
+        encoded.extend((d.tobytes(), im.tobytes()) for d, im in zip(doys, images))
+        return real(self, images, doys, weather_h, start_doy)
+
+    monkeypatch.setattr(FrameworkModel, "frozen_encode", recording)
+    cfg = ft_config(world_regions=3)
+    model = FrameworkModel("ci-vsf", cfg, 1)
+    runs = {
+        "estimate-cross": lambda: finetune_estimate(model, world, cfg, seed=11,
+                                                    protocol="cross-region"),
+        "future": lambda: finetune_future_image(model, world, cfg, seed=4),
+        "soil": lambda: finetune_soil_forecast(model, world, cfg, seed=6),
+    }
+    for task, run in runs.items():
+        encoded.clear()
+        run()
+        assert encoded, task
+        assert len(set(encoded)) == len(encoded), task
+
+
+def test_forecast_target_beyond_weather_states_raises(world):
+    cfg = ft_config()
+    model = FrameworkModel("ci-vsf", cfg, 1)
+    insts = instances_of(world, [0], cfg.context_len, cfg.gap_min, cfg.gap_max)
+    s = world[0]
+    last_doy = int(s.doys[max(i.target for i in insts)])
+    # the weather ends the day before the latest target, after every window
+    cut = [dataclasses.replace(s, weather=s.weather[:last_doy - int(s.start_doy)])]
+    states = weather_states(model, cut, [0], cfg)
+    with pytest.raises(DomainError, match="beyond"):
+        forecast_cache(model, cut, states, insts, cfg)
 
 
 # -- pinned outputs ------------------------------------------------------------------

@@ -614,6 +614,20 @@ def test_cli_argparse_errors(capsys):
         assert "evaluate needs --ckpt and --data" in capsys.readouterr().err
 
 
+def test_cli_rejects_flags_a_command_does_not_read(capsys):
+    """finetune starts from the checkpoint's config and takes no --config;
+    evaluate and forecast take none of --config, --set and --seed."""
+    finetune = ["finetune", "--data", "d", "--ckpt", "c", "--task", "missing"]
+    evaluate = ["evaluate", "--reference"]
+    forecast = ["forecast", "--data", "d", "--ckpt", "c", "--sample", "0",
+                "--target-doy", "150", "--out", "x.ppm"]
+    config, set_, seed = ["--config", "f.cfg"], ["--set", "hidden=16"], ["--seed", "1"]
+    for argv in (finetune + config, evaluate + config, evaluate + set_, evaluate + seed,
+                 forecast + config, forecast + set_, forecast + seed):
+        assert cli(argv) == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+
+
 def test_cli_data_errors(cli_dir, capsys):
     assert cli(["pretrain", "--data", "/no/such.civsf", "--out", "/tmp/o"]
                + sets()) == 3

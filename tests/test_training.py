@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import civsf.training.pretrain as pt
-from civsf.datamodel import Sample
+from civsf.datamodel import Sample, stack_windows, windows_of
 from civsf.errors import (
     CompatibilityError,
     ConfigError,
@@ -20,6 +20,7 @@ from civsf.masking import build_mask
 from civsf.numerics import RngStream, Tensor, optim
 from civsf.numerics.gradcheck import grad_check
 from civsf.synthworld import WorldConfig, gen_dataset
+from civsf.training.finetune import weather_states
 from civsf.training.model import FrameworkModel
 from civsf.training.pretrain import (
     EpochRecord,
@@ -313,6 +314,34 @@ def test_mixed_start_doy_rejected(tiny_world):
     with pytest.raises(ShapeError, match="start_doy"):
         _phase1c_batch(model, shifted, [(0, 0), (1, 0)], cfg,
                        RngStream(0).generator("m"))
+
+
+@pytest.mark.parametrize("hidden", [16, 64])
+@pytest.mark.parametrize("kind", ["ci-vsf", "sm-vsf"])
+def test_frozen_encode_is_row_invariant(tiny_world, kind, hidden):
+    """A window's frozen embedding is byte-identical whichever windows share
+    its batch, which lets the fine-tunes encode each window once."""
+    cfg = tiny_config(framework=kind, hidden=hidden)
+    model = FrameworkModel(kind, cfg, 3)
+    every = range(len(tiny_world))
+    windows = windows_of(tiny_world, every, cfg.context_len)
+    states = weather_states(model, tiny_world, every, cfg)
+    assert (states is None) == (kind == "sm-vsf")
+
+    def encode(rows):
+        imgs, doys, _, start = stack_windows(tiny_world, rows, cfg.context_len)
+        h = None if states is None else np.stack([states[si] for si, _ in rows])
+        return model.frozen_encode(imgs, doys, h, start).data
+
+    full = encode(windows)
+    assert full.shape[0] == len(windows) > 7
+    alone = np.concatenate([encode([w]) for w in windows])
+    sevens = np.concatenate([encode(windows[lo:lo + 7]) for lo in range(0, len(windows), 7)])
+    order = np.random.default_rng(0).permutation(len(windows))
+    shuffled = encode([windows[i] for i in order])
+    assert alone.tobytes() == full.tobytes()
+    assert sevens.tobytes() == full.tobytes()
+    assert shuffled.tobytes() == full[order].tobytes()
 
 
 # -- runner: determinism, resume, hygiene --------------------------------------------
