@@ -52,11 +52,17 @@ def _load_cfg(args) -> Config:
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
-    from civsf.synthworld import WorldConfig, gen_dataset
+    from civsf.synthworld import PHENOLOGY, WorldConfig, gen_dataset
     cfg = _load_cfg(args)
     world = WorldConfig(side=cfg.side, n_regions=cfg.world_regions,
                         crop_classes=cfg.crop_classes, gap_min=cfg.world_gap_min,
                         gap_max=cfg.world_gap_max, sigma=cfg.world_sigma)
+    if cfg.side < 1 or cfg.side % world.field_px:
+        raise ConfigError(f"gen-data needs side to be a positive multiple of the "
+                          f"{world.field_px}-pixel crop field, got {cfg.side}")
+    if not 1 <= cfg.crop_classes <= len(PHENOLOGY):
+        raise ConfigError(f"gen-data knows crop classes 1 to {len(PHENOLOGY)}, "
+                          f"got crop_classes {cfg.crop_classes}")
     samples = gen_dataset(cfg.world_samples, world, cfg.seed, args.out,
                           config_note=f"config: {cfg.hash()} seed: {cfg.seed}")
     print(f"wrote {len(samples)} samples to {args.out}")

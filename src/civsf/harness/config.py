@@ -79,9 +79,13 @@ class Config:
     def __post_init__(self):
         if self.framework not in FRAMEWORKS:
             raise ConfigError(f"unknown framework '{self.framework}', expected one of {FRAMEWORKS}")
-        for name in ("batch_size", "seq_batch_size", "ft_batch"):
+        for name in ("batch_size", "seq_batch_size", "ft_batch",
+                     "world_samples", "world_regions", "world_gap_min"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.world_gap_max < self.world_gap_min:
+            raise ConfigError(f"world_gap_max {self.world_gap_max} is below "
+                              f"world_gap_min {self.world_gap_min}")
         if not (0.0 <= self.mask_ratio < 1.0):
             raise ConfigError(f"mask_ratio must lie in [0, 1), got {self.mask_ratio}")
         if self.context_len < 2:

@@ -10,6 +10,12 @@ structure the training frameworks are meant to exploit.
 
 Dynamics are intentionally first order and per-pixel independent so a scalar
 re-implementation can serve as an exact oracle. Realism is a non-goal.
+
+State arrays are (..., H, W): every location of a dataset steps together as
+one (n, H, W) stack, one `step_state` call per day, and each location's
+arrays are byte-identical to stepping it alone. Every location still draws
+its own streams (climate, weather, crops, image DOYs, initial state, sensor
+noise) from its own seed.
 """
 
 from __future__ import annotations
@@ -92,17 +98,23 @@ class ClimateParams:
 
 @dataclass
 class LatentState:
-    veg: np.ndarray     # (H, W) in [0, 1]
-    soil: np.ndarray    # (H, W) in [0, 1]
-    snow: np.ndarray    # (H, W) mm, >= 0
+    veg: np.ndarray     # (..., H, W) in [0, 1]
+    soil: np.ndarray    # (..., H, W) in [0, 1]
+    snow: np.ndarray    # (..., H, W) mm, >= 0
 
 
 @dataclass
 class CropField:
-    classes: np.ndarray         # (H, W) uint8 class map, constant per field
-    plant: np.ndarray           # (H, W) planting DOY per pixel
-    harvest: np.ndarray         # (H, W) harvest DOY per pixel
-    rate: np.ndarray            # (H, W) growth rate per pixel
+    classes: np.ndarray         # (..., H, W) uint8 class map, constant per field
+    plant: np.ndarray           # (..., H, W) planting DOY per pixel
+    harvest: np.ndarray         # (..., H, W) harvest DOY per pixel
+    rate: np.ndarray            # (..., H, W) growth rate per pixel
+
+
+def _stack(parts: list):
+    """One dataclass of (n, ...) arrays from n dataclasses of arrays."""
+    cls = type(parts[0])
+    return cls(*(np.stack([getattr(p, f.name) for p in parts]) for f in fields(cls)))
 
 
 def draw_climate(region: int, rng: np.random.Generator) -> ClimateParams:
@@ -128,38 +140,45 @@ def draw_climate(region: int, rng: np.random.Generator) -> ClimateParams:
 
 def gen_weather(params: ClimateParams, days: int, rng: np.random.Generator) -> np.ndarray:
     """Daily (tmin, tmax, precip, wind_u, wind_v) for DOYs 1..days."""
+    return _gen_weathers([params], days, [rng])[0]
+
+
+def _gen_weathers(params: list[ClimateParams], days: int,
+                  rngs: list[np.random.Generator]) -> np.ndarray:
+    """(n, days, 5) weather of n locations, each from its own generator; the
+    AR recursions of all locations advance together."""
     if days < 1:
         raise DomainError(f"weather series needs days >= 1, got {days}")
-    if not (-1.0 < params.t_ar < 1.0 and -1.0 < params.p_ar < 1.0):
+    if not all(-1.0 < p.t_ar < 1.0 and -1.0 < p.p_ar < 1.0 for p in params):
         raise DomainError("AR coefficients must lie in (-1, 1)")
-    doy = np.arange(1, days + 1, dtype=np.float64)
-    seasonal = params.t_mean + params.t_amp * np.sin(2.0 * np.pi * (doy - params.t_phase) / 365.0)
 
-    t_noise = np.empty(days)
-    p_latent = np.empty(days)
-    wu = np.empty(days)
-    wv = np.empty(days)
-    e_t = rng.normal(0.0, params.t_noise, size=days)
-    e_p = rng.normal(0.0, params.p_noise, size=days)
-    e_u = rng.normal(0.0, params.w_noise, size=days)
-    e_v = rng.normal(0.0, params.w_noise, size=days)
-    t_prev = p_prev = u_prev = v_prev = 0.0
+    def column(name: str) -> np.ndarray:
+        return np.array([getattr(p, name) for p in params], dtype=np.float64)[:, None]
+
+    doy = np.arange(1, days + 1, dtype=np.float64)
+    seasonal = column("t_mean") + column("t_amp") * np.sin(
+        2.0 * np.pi * (doy - column("t_phase")) / 365.0)
+
+    # per location: days draws each of e_t, e_p, e_u, e_v, in that order
+    shocks = np.stack([np.stack([rng.normal(0.0, p.t_noise, size=days),
+                                 rng.normal(0.0, p.p_noise, size=days),
+                                 rng.normal(0.0, p.w_noise, size=days),
+                                 rng.normal(0.0, p.w_noise, size=days)], axis=1)
+                       for p, rng in zip(params, rngs)])          # (n, days, 4)
+    ar = np.array([(p.t_ar, p.p_ar, p.w_ar, p.w_ar) for p in params])  # (n, 4)
+    latent = np.empty_like(shocks)
+    prev = np.zeros_like(ar)
     for d in range(days):
-        t_prev = params.t_ar * t_prev + e_t[d]
-        p_prev = params.p_ar * p_prev + e_p[d]
-        u_prev = params.w_ar * u_prev + e_u[d]
-        v_prev = params.w_ar * v_prev + e_v[d]
-        t_noise[d] = t_prev
-        p_latent[d] = p_prev
-        wu[d] = u_prev
-        wv[d] = v_prev
+        prev = ar * prev + shocks[:, d]
+        latent[:, d] = prev
+    t_noise, p_latent, wu, wv = np.moveaxis(latent, 2, 0)
 
     tavg = seasonal + t_noise
-    tmin = tavg - params.t_spread
-    tmax = tavg + params.t_spread
-    precip = params.p_rate * np.maximum(0.0, p_latent)
+    tmin = tavg - column("t_spread")
+    tmax = tavg + column("t_spread")
+    precip = column("p_rate") * np.maximum(0.0, p_latent)
     out = np.stack([tmin, tmax, precip,
-                    params.wind_u + wu, params.wind_v + wv], axis=1)
+                    column("wind_u") + wu, column("wind_v") + wv], axis=2)
     return out.astype(np.float32)
 
 
@@ -170,38 +189,50 @@ def init_state(side: int, rng: np.random.Generator) -> LatentState:
                        snow=np.zeros((side, side), dtype=np.float64))
 
 
+def _pos(x: np.ndarray) -> np.ndarray:
+    """Python's max(0.0, x) elementwise: x where x > 0, else +0.0."""
+    return np.where(x > 0.0, x, 0.0)
+
+
 def step_state(state: LatentState, wx_day: np.ndarray, doy: int,
                world: WorldConfig, crops: CropField) -> LatentState:
-    """One day of dynamics. Updates apply in order: the soil bucket first,
-    then vegetation reads the updated soil, then snow."""
-    tmin, tmax, precip = float(wx_day[0]), float(wx_day[1]), float(wx_day[2])
+    """One day of dynamics for states (..., H, W) under weather (..., 5).
+    Updates apply in order: the soil bucket first, then vegetation reads the
+    updated soil, then snow. Each pixel takes the same float64 operations in
+    the same order whatever the leading shape, so a stack of locations steps
+    to the bytes each would reach alone."""
+    tmin, tmax, precip = (np.asarray(wx_day[..., k], dtype=np.float64)[..., None, None]
+                          for k in range(3))
     tavg = 0.5 * (tmin + tmax)
 
     soil = np.clip((1.0 - world.k_s) * state.soil + world.k_p * precip, 0.0, 1.0)
 
-    gdd = max(0.0, tavg - world.t_base)
+    gdd = _pos(tavg - world.t_base)
     active = (crops.plant <= doy) & (doy < crops.harvest)
     growth = crops.rate * gdd * soil * (1.0 - state.veg) * active
-    frost = world.frost_kill * state.veg if tavg < -2.0 else 0.0
-    dormancy = world.dormancy * state.veg if gdd == 0.0 else 0.0
+    frost = np.where(tavg < -2.0, world.frost_kill * state.veg, 0.0)
+    dormancy = np.where(gdd == 0.0, world.dormancy * state.veg, 0.0)
     harvest_drop = 0.95 * state.veg * (doy == crops.harvest)
     veg = np.clip(state.veg + growth - frost - dormancy - harvest_drop, 0.0, 1.0)
 
-    snow = np.maximum(0.0, state.snow + precip * (tavg < 0.0) - world.melt * max(0.0, tavg))
+    snow = np.maximum(0.0, state.snow + precip * (tavg < 0.0) - world.melt * _pos(tavg))
     return LatentState(veg=veg, soil=soil, snow=snow)
 
 
 def render_image(state: LatentState, sigma: float,
-                 rng: np.random.Generator | None) -> np.ndarray:
-    """Linear spectral mixing weighted by (1 - v - w_n, v, w_n), then sensor
-    noise and a clip to [0, 1]."""
+                 rngs: list[np.random.Generator] | None) -> np.ndarray:
+    """Images (..., 6, H, W) of states (..., H, W): linear spectral mixing
+    weighted by (1 - v - w_n, v, w_n), then sensor noise and a clip to
+    [0, 1]. With sigma > 0, rngs holds one generator per image, in the order
+    of the state's leading axes, and each image draws its noise from its own."""
     w_snow = np.minimum(1.0, state.snow / SNOW_FULL_MM)
     w_soil = 1.0 - state.veg - w_snow
-    img = (w_soil[None] * SOIL_SIG[:, None, None]
-           + state.veg[None] * VEG_SIG[:, None, None]
-           + w_snow[None] * SNOW_SIG[:, None, None])
-    if sigma > 0.0 and rng is not None:
-        img = img + rng.normal(0.0, sigma, size=img.shape)
+    img = (w_soil[..., None, :, :] * SOIL_SIG[:, None, None]
+           + state.veg[..., None, :, :] * VEG_SIG[:, None, None]
+           + w_snow[..., None, :, :] * SNOW_SIG[:, None, None])
+    if sigma > 0.0 and rngs is not None:
+        noise = [rng.normal(0.0, sigma, size=img.shape[-3:]) for rng in rngs]
+        img = img + np.reshape(noise, img.shape)
     return np.clip(img, 0.0, 1.0).astype(np.float32)
 
 
@@ -215,6 +246,9 @@ def draw_crops(world: WorldConfig, rng: np.random.Generator) -> CropField:
 
 
 def draw_image_doys(world: WorldConfig, rng: np.random.Generator) -> np.ndarray:
+    if world.gap_min < 1 or world.gap_max < world.gap_min:
+        raise DomainError(f"image gaps need 1 <= gap_min <= gap_max, "
+                          f"got gap_min {world.gap_min}, gap_max {world.gap_max}")
     doys = []
     d = int(rng.integers(world.gap_min, world.gap_max + 1))
     while d <= world.days:
@@ -223,38 +257,57 @@ def draw_image_doys(world: WorldConfig, rng: np.random.Generator) -> np.ndarray:
     return np.array(doys, dtype=np.int64)
 
 
+def _simulate(world: WorldConfig, seeds: list[int], regions: list[int]) -> list[Sample]:
+    """Simulate one location per seed for a year, all stepped together as one
+    (n, H, W) state, and sample each one's image series on its own DOYs."""
+    streams = [RngStream(seed) for seed in seeds]
+    climates = [draw_climate(region, s.generator("climate"))
+                for s, region in zip(streams, regions)]
+    weather = _gen_weathers(climates, world.days, [s.generator("weather") for s in streams])
+    crops = _stack([draw_crops(world, s.generator("crops")) for s in streams])
+    doys = [draw_image_doys(world, s.generator("doys")) for s in streams]
+    state = _stack([init_state(world.side, s.generator("init")) for s in streams])
+    sensors = [s.generator("sensor") for s in streams]
+
+    images = [np.empty((len(d), 6, world.side, world.side), dtype=np.float32) for d in doys]
+    soil = [np.empty(len(d), dtype=np.float32) for d in doys]
+    shoots: dict[int, list[tuple[int, int]]] = {}     # day -> [(location, image index)]
+    for loc, loc_doys in enumerate(doys):
+        for i, day in enumerate(loc_doys):
+            shoots.setdefault(int(day), []).append((loc, i))
+    for day in range(1, world.days + 1):
+        state = step_state(state, weather[:, day - 1], day, world, crops)
+        today = shoots.get(day)
+        if today:
+            locs = [loc for loc, _ in today]
+            frames = render_image(LatentState(state.veg[locs], state.soil[locs], state.snow[locs]),
+                                  world.sigma, [sensors[loc] for loc in locs])
+            for (loc, i), frame in zip(today, frames):
+                images[loc][i] = frame
+                # one (H, W) mean per location sums in the order a lone location's does
+                soil[loc][i] = np.float32(state.soil[loc].mean())
+    return [Sample(images=images[k], doys=doys[k], weather=weather[k], start_doy=1,
+                   soil=soil[k], crops=crops.classes[k], region=regions[k])
+            for k in range(len(seeds))]
+
+
 def gen_location(world: WorldConfig, seed: int, region: int) -> Sample:
     """Simulate one location for a year and sample its image series."""
-    stream = RngStream(seed)
-    climate = draw_climate(region, stream.generator("climate"))
-    weather = gen_weather(climate, world.days, stream.generator("weather"))
-    crops = draw_crops(world, stream.generator("crops"))
-    doys = draw_image_doys(world, stream.generator("doys"))
-    state = init_state(world.side, stream.generator("init"))
-    noise_rng = stream.generator("sensor") if world.sigma > 0 else None
-
-    images = np.empty((len(doys), 6, world.side, world.side), dtype=np.float32)
-    soil = np.empty(len(doys), dtype=np.float32)
-    shoot = {int(d): i for i, d in enumerate(doys)}
-    for day in range(1, world.days + 1):
-        state = step_state(state, weather[day - 1], day, world, crops)
-        i = shoot.get(day)
-        if i is not None:
-            images[i] = render_image(state, world.sigma, noise_rng)
-            soil[i] = np.float32(state.soil.mean())
-    return Sample(images=images, doys=doys, weather=weather, start_doy=1,
-                  soil=soil, crops=crops.classes, region=region)
+    return _simulate(world, [seed], [region])[0]
 
 
 def gen_dataset(n: int, world: WorldConfig, seed: int,
                 path: str | None = None, config_note: str = "") -> list[Sample]:
-    """Generate n locations (region = index mod n_regions). When path is set,
-    writes the container plus a plain-text sidecar listing world constants."""
+    """Generate n locations (region = index mod n_regions), stepped together.
+    When path is set, writes the container plus a plain-text sidecar listing
+    world constants."""
     if n < 1:
         raise DomainError(f"dataset needs n >= 1, got {n}")
+    if world.n_regions < 1:
+        raise DomainError(f"dataset needs n_regions >= 1, got {world.n_regions}")
     stream = RngStream(seed)
-    samples = [gen_location(world, stream.child_seed(f"location/{i}"), i % world.n_regions)
-               for i in range(n)]
+    samples = _simulate(world, [stream.child_seed(f"location/{i}") for i in range(n)],
+                        [i % world.n_regions for i in range(n)])
     if path is not None:
         save_container(path, samples)
         note = f"{config_note}\n" if config_note else ""

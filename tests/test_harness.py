@@ -53,7 +53,8 @@ def test_config_defaults_and_hash():
 def test_config_validation():
     with pytest.raises(ConfigError, match="framework"):
         Config(framework="vit")
-    for name in ("batch_size", "seq_batch_size", "ft_batch"):
+    for name in ("batch_size", "seq_batch_size", "ft_batch",
+                 "world_samples", "world_regions", "world_gap_min"):
         with pytest.raises(ConfigError, match=f"{name} must be >= 1, got 0"):
             Config(**{name: 0})
         with pytest.raises(ConfigError, match=name):
@@ -63,6 +64,13 @@ def test_config_validation():
         Config(mask_ratio=1.0)
     with pytest.raises(ConfigError, match="context_len"):
         Config(context_len=1)
+    with pytest.raises(ConfigError, match="world_gap_max 3 is below world_gap_min 5"):
+        Config(world_gap_min=5, world_gap_max=3)
+    with pytest.raises(ConfigError, match="world_gap_min must be >= 1, got 0"):
+        Config(world_gap_min=0, world_gap_max=0)
+    assert Config(world_gap_min=4, world_gap_max=4).world_gap_max == 4
+    # only gen-data needs whole crop fields; a model needs only side % patch == 0
+    assert Config(side=12, patch=4).side == 12
 
 
 def test_config_file_parsing(tmp_path):
@@ -593,13 +601,23 @@ def test_python_dash_m_civsf_runs_the_cli():
         assert run("no-such-command").returncode == 2, module
 
 
-def test_cli_config_errors(capsys):
+def test_cli_config_errors(tmp_path, capsys):
     assert cli(["gen-data", "--out", "/tmp/x", "--set", "bogus=1"]) == 2
     assert cli(["gen-data", "--out", "/tmp/x", "--set", "side=abc"]) == 2
     assert cli(["gen-data", "--out", "/tmp/x", "--set", "framework=resnet"]) == 2
     assert cli(["gen-data", "--out", "/tmp/x", "--set", "sideways"]) == 2
     assert cli(["gen-data", "--out", "/tmp/x", "--config", "/nope.cfg"]) == 2
     capsys.readouterr()
+    # invalid world settings: a message, no traceback, nothing written
+    out = str(tmp_path / "w.civ")
+    for sets in (["world_gap_min=5", "world_gap_max=3"], ["world_regions=0"],
+                 ["world_samples=0"], ["side=12"], ["side=4"], ["crop_classes=0"],
+                 ["crop_classes=6"]):
+        argv = ["gen-data", "--out", out] + [a for kv in sets for a in ("--set", kv)]
+        assert cli(argv) == 2, sets
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err, sets
+    assert not os.path.exists(out)
 
 
 def test_cli_argparse_errors(capsys):

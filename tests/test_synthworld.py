@@ -1,10 +1,15 @@
 """World generator tests.
 
 The centerpiece is an independently written scalar simulator: the package
-steps (H, W) state arrays, the oracle steps plain floats for a single pixel.
-Agreement to float64 tolerance over a full year is strong evidence the
-vectorized dynamics are what the scalar laws say they are.
+steps (..., H, W) state arrays, the oracle steps plain floats for a single
+pixel. Agreement to float64 tolerance over a full year is strong evidence the
+vectorized dynamics are what the scalar laws say they are. Byte-level tests
+then pin that a stack of locations steps exactly as each location alone, and
+that generated worlds keep their bytes.
 """
+
+import hashlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,6 +23,8 @@ from civsf.synthworld import (
     SOIL_SIG,
     SNOW_SIG,
     VEG_SIG,
+    CropField,
+    LatentState,
     WorldConfig,
     draw_climate,
     draw_crops,
@@ -224,3 +231,82 @@ def test_sigma_zero_and_nonzero_differ_only_by_noise():
     diff = np.abs(a.images.astype(np.float64) - b.images.astype(np.float64))
     assert diff.max() > 0
     assert diff.mean() < 0.1  # noise-scale, not structural
+
+
+def world_digest(samples):
+    """sha256 over every array of every sample, with dtypes and shapes."""
+    h = hashlib.sha256()
+    for s in samples:
+        for a in (s.images, s.doys, s.weather, s.soil, s.crops):
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+        h.update(f"{s.start_doy},{s.region}".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n, world, seed, digest", [
+    (5, WorldConfig(side=8, sigma=0.0, n_regions=3), 17,
+     "bb77897f1276b9ab66f4a12024b12a536f47b7f2902ccce3d675eba485e618c7"),
+    (4, WorldConfig(side=16, sigma=0.01, gap_min=8, gap_max=25), 23,
+     "07f98e92e359f3cd083d5073fe276f27695cf6b61c29d1c3bd127f9d6369e863"),
+])
+def test_gen_dataset_bytes_are_pinned(n, world, seed, digest):
+    """Digests taken when every location was stepped on its own, one
+    step_state call per location per day; stepping them together keeps them."""
+    assert world_digest(gen_dataset(n, world, seed)) == digest
+
+
+def test_gen_dataset_rows_equal_gen_location():
+    world = WorldConfig(side=16, sigma=0.01, gap_min=8, gap_max=25, n_regions=3)
+    samples = gen_dataset(5, world, seed=23)
+    stream = RngStream(23)
+    for i, s in enumerate(samples):
+        alone = gen_location(world, stream.child_seed(f"location/{i}"), i % world.n_regions)
+        assert world_digest([s]) == world_digest([alone]), f"location {i}"
+
+
+def stack_of(parts):
+    cls = type(parts[0])
+    return cls(*(np.stack([getattr(p, f.name) for p in parts]) for f in fields(cls)))
+
+
+def test_stacked_stepping_equals_one_at_a_time():
+    """A year of one step_state call on an (n, H, W) stack gives, every day,
+    the bytes of n calls on (H, W) states, through frost, dormancy, snow and
+    harvest days (regions 1 and 4 are the cold ones)."""
+    world = WorldConfig(side=16, sigma=0.0)
+    stream = RngStream(12)
+    regions = [0, 1, 2, 3, 4, 5, 1, 4]
+    weathers = [gen_weather(draw_climate(r, stream.generator(f"climate/{k}")), world.days,
+                            stream.generator(f"weather/{k}")) for k, r in enumerate(regions)]
+    crop_fields = [draw_crops(world, stream.generator(f"crops/{k}")) for k in range(len(regions))]
+    alone = [init_state(world.side, stream.generator(f"init/{k}")) for k in range(len(regions))]
+    weather, crops, stacked = np.stack(weathers), stack_of(crop_fields), stack_of(alone)
+    assert isinstance(crops, CropField) and isinstance(stacked, LatentState)
+
+    seen = dict(frost=0, dormancy=0, snow=0, harvest=0)
+    for day in range(1, world.days + 1):
+        stacked = step_state(stacked, weather[:, day - 1], day, world, crops)
+        for k in range(len(regions)):
+            alone[k] = step_state(alone[k], weathers[k][day - 1], day, world, crop_fields[k])
+            for f in fields(LatentState):
+                got, want = getattr(stacked, f.name)[k], getattr(alone[k], f.name)
+                assert got.tobytes() == want.tobytes(), f"{f.name}, day {day}, location {k}"
+        tavg = 0.5 * (weather[:, day - 1, 0].astype(np.float64) + weather[:, day - 1, 1])
+        seen["frost"] += int(np.sum(tavg < -2.0))
+        seen["dormancy"] += int(np.sum(tavg <= world.t_base))
+        seen["snow"] += int(np.sum(stacked.snow > 0.0))
+        seen["harvest"] += int(np.sum(crops.harvest == day))
+    assert all(count > 0 for count in seen.values()), seen
+
+
+def test_bad_world_settings_raise_domain_error():
+    rng = np.random.default_rng(0)
+    # (0, 0) comes last: without the check it would never return
+    for gap_min, gap_max in ((5, 3), (0, 5), (0, 0)):
+        with pytest.raises(DomainError, match="gap_min"):
+            draw_image_doys(WorldConfig(gap_min=gap_min, gap_max=gap_max), rng)
+    assert draw_image_doys(WorldConfig(gap_min=7, gap_max=7), rng).tolist() == \
+        list(range(7, 366, 7))
+    with pytest.raises(DomainError, match="n_regions"):
+        gen_dataset(2, WorldConfig(side=8, n_regions=0), seed=5)
